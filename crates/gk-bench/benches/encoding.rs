@@ -46,10 +46,11 @@ fn bench_encoding(c: &mut Criterion) {
     group.finish();
 }
 
-/// The per-batch host prep of the two execution paths, head to head: the
-/// host-encode path runs `encode_pair_batch` (2-bit packing), the
-/// device-encode path only gathers the raw transfer arenas
-/// (`PairBatches::raw()`) and leaves the packing to the fused kernel.
+/// The per-batch host prep of the two encoding actors, head to head: a
+/// host-encode actor packs 2-bit words (`encode_pair_batch`), a device-encode
+/// actor only gathers the raw transfer arenas (`PairBatches::raw()`) and
+/// leaves the packing to the fused kernel. The simulator gathers in both
+/// modes and models the host encode stage's cost.
 fn bench_prep_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("prep_paths");
     group.sample_size(20);

@@ -2,10 +2,11 @@
 //! clock cost of processing a pair set as a function of batch size and encoding
 //! actor (the knob explored by Table 1 and Figure 6).
 //!
-//! The two `gpu_batch` rows per batch size are genuinely different execution
-//! paths, printed side by side: `device_encode` gathers raw 1-byte-per-base
-//! arenas and packs inside the fused kernel closure, `host_encode` runs
-//! `encode_pair_batch` on the pool before the (smaller) simulated transfer.
+//! The two `gpu_batch` rows per batch size differ only in the modelled
+//! encoding actor, printed side by side: both gather raw 1-byte-per-base
+//! arenas and decide through `gk_filters::decide`; `device_encode` models the
+//! fused kernel's packing and the larger transfer, `host_encode` a host encode
+//! stage before the (smaller) simulated transfer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gk_core::config::FilterConfig;

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gk_bench::runner::shared_pool;
-use gk_core::cpu::GateKeeperCpu;
+use gk_core::backend::{CpuSimdBackend, FilterBackend, FilterJob, FilterKind};
 use gk_seq::datasets::DatasetProfile;
 use gk_seq::pairs::encode_pair_batch;
 use std::hint::black_box;
@@ -27,8 +27,9 @@ fn bench_pool_scaling(c: &mut Criterion) {
                 // Reuse the process-wide pool for this thread count: the bench
                 // measures filtering, not worker spawn-up (and repeated
                 // Criterion samples must not leak one pool per iteration).
-                let filter = GateKeeperCpu::with_pool(4, threads, shared_pool(threads));
-                b.iter(|| black_box(&filter).filter_set(black_box(&pairs)).accepted())
+                let backend = CpuSimdBackend::with_pool(shared_pool(threads));
+                let job = FilterJob::new(FilterKind::GateKeeper, 4, &pairs.pairs);
+                b.iter(|| black_box(&backend).run(black_box(&job)).len())
             },
         );
     }

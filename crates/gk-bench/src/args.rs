@@ -10,9 +10,9 @@
 //! * `--chunk N` — pipeline chunk size in pairs (0 = auto);
 //! * `--serialized` — disable stream overlap (three stages run back to back);
 //! * `--host-serial` — disable the host-side prefetch (serial host compute);
-//! * `--device-encode` — use the device-side encoding execution path (raw
-//!   1-byte-per-base uploads + fused encode+filter kernel) instead of host
-//!   `encode_pair_batch`;
+//! * `--device-encode` — model the device-side encoding actor (raw
+//!   1-byte-per-base uploads + fused encode+filter kernel) instead of a host
+//!   encode stage;
 //! * `--scalar` — force the per-bit scalar reference kernels on the CPU rows
 //!   (same effect as `GK_SIMD=scalar`, but per invocation);
 //! * `--topology KIND` — interconnect wiring for multi-GPU runs
@@ -39,11 +39,11 @@ pub struct HarnessArgs {
     pub full: bool,
     /// Disable stream overlap in the GPU batch pipeline.
     pub serialized: bool,
-    /// Disable the host-side prefetch (encode of chunk i+1 on the worker pool
+    /// Disable the host-side prefetch (prep of chunk i+1 on the worker pool
     /// while chunk i's kernel closure runs); the host computes chunks serially.
     pub host_serial: bool,
-    /// Use the device-side encoding execution path: upload raw reads and let
-    /// the fused kernel do the 2-bit packing (no host `encode_pair_batch`).
+    /// Model the device-side encoding actor: upload raw reads and let the
+    /// fused kernel do the 2-bit packing (no host encode stage).
     pub device_encode: bool,
     /// Force the per-bit scalar reference kernels instead of the lane-parallel
     /// SIMD path (the throughput baseline; decisions are byte-identical).

@@ -2,9 +2,10 @@
 //! actor (host vs device) on single-GPU filtering throughput as the error threshold
 //! grows, by kernel time and by filter time.
 //!
-//! Both columns run their real execution path: the device rows upload raw
-//! reads and pack inside the fused encode+filter kernel, the host rows run
-//! `encode_pair_batch` before the (4× smaller) transfer.
+//! Both columns decide the same way and differ in the modelled actor: the
+//! device rows upload raw reads and pack inside the fused encode+filter
+//! kernel, the host rows pay a host encode stage before the (4× smaller)
+//! transfer.
 //!
 //! Usage: `cargo run --release -p gk-bench --bin fig6_encoding_actor [--pairs N] [--full]`
 

@@ -6,7 +6,7 @@
 //! Usage: `cargo run --release -p gk-bench --bin figS12_error_threshold [--pairs N]`
 
 use gk_bench::datasets::throughput_set;
-use gk_bench::runner::{cpu_throughput_with_mode, gpu_throughput};
+use gk_bench::runner::{available_parallelism, cpu_throughput_with_mode, gpu_throughput};
 use gk_bench::table::{fmt, Table};
 use gk_bench::{HarnessArgs, SETUP1, SETUP2};
 use gk_core::config::EncodingActor;
@@ -17,11 +17,16 @@ fn main() {
     let set = throughput_set(250, pairs);
 
     println!("Figure S.12 / Table S.16: effect of the error threshold on filter time (250bp, {pairs} pairs)");
-    println!("Times in seconds; the paper's absolute values are for 30M pairs, so only the growth trend is comparable.\n");
+    println!("Times in seconds; the paper's absolute values are for 30M pairs, so only the growth trend is comparable.");
+    println!(
+        "CPU column: pool threads {}; host available_parallelism {}\n",
+        SETUP1.cpu_cores,
+        available_parallelism()
+    );
 
     let mut table = Table::new(vec![
         "e",
-        "12-core CPU (s)",
+        "12-thread CPU (s)",
         "Setup1 device-enc GPU (s)",
         "Setup1 host-enc GPU (s)",
         "Setup2 device-enc GPU (s)",

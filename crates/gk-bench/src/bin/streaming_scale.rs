@@ -116,7 +116,7 @@ fn print_run(label: &str, measured: &MeasuredRun) {
         if run.pipeline.device_encode {
             "device (raw upload + fused encode+filter kernel)"
         } else {
-            "host (encode_pair_batch before the transfer)"
+            "host (2-bit encode before the transfer)"
         }
     );
     println!(
@@ -310,7 +310,7 @@ fn main() {
             &profile,
             &spec(EncodingActor::Host, primary_prefetch, pairs),
         );
-        print_run("host encode (encode_pair_batch before the transfer)", &host);
+        print_run("host encode (2-bit encode before the transfer)", &host);
         compare_encode_modes(&primary, &host, pairs, threshold);
     } else if compare_modes {
         let secondary = measure(&profile, &spec(primary_encoding, !primary_prefetch, pairs));

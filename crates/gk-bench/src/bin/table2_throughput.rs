@@ -7,7 +7,7 @@
 //! (`--full` adds the 150 bp and 250 bp tables, i.e. S.14 and S.15.)
 
 use gk_bench::datasets::throughput_set;
-use gk_bench::runner::{cpu_throughput_with_mode, gpu_throughput};
+use gk_bench::runner::{available_parallelism, cpu_throughput_with_mode, gpu_throughput};
 use gk_bench::table::{fmt, Table};
 use gk_bench::{HarnessArgs, SETUP1, SETUP2};
 use gk_core::config::EncodingActor;
@@ -27,15 +27,20 @@ fn main() {
             "Table 2{}: filtering throughput for {read_len}bp sequences ({pairs} pairs, scaled units)",
             if read_len == 100 { "" } else { " (supplementary)" }
         );
-        println!("Throughput unit: billions of filtrations in 40 minutes (B/40min)\n");
+        println!("Throughput unit: billions of filtrations in 40 minutes (B/40min)");
+        println!(
+            "CPU columns: pool threads 1 and {}; host available_parallelism {}\n",
+            SETUP1.cpu_cores,
+            available_parallelism()
+        );
 
         let set = throughput_set(read_len, pairs);
         for setup in [SETUP1, SETUP2] {
             let mut table = Table::new(vec![
                 "Metric",
                 "e",
-                "CPU 1-core",
-                "CPU 12-core",
+                "CPU 1-thread",
+                "CPU 12-thread",
                 "Dev-enc 1-GPU",
                 "Dev-enc 8-GPU",
                 "Host-enc 1-GPU",

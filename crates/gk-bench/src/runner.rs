@@ -1,8 +1,8 @@
 //! Shared experiment runners used by several harness binaries.
 
 use crate::setups::Setup;
+use gk_core::backend::{CpuSimdBackend, FilterBackend, FilterJob, FilterKind};
 use gk_core::config::{EncodingActor, FilterConfig};
-use gk_core::cpu::GateKeeperCpu;
 use gk_core::gpu::GateKeeperGpu;
 use gk_core::multi_gpu::{MultiGpuGateKeeper, MultiGpuRun};
 use gk_core::pipeline::StreamFilterRun;
@@ -14,11 +14,12 @@ use gk_seq::stream::PairBatches;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Shared worker pools, one per thread count, built lazily and reused for the
 /// lifetime of the harness process. Every binary that sweeps thresholds,
-/// datasets or setups used to rebuild a `GateKeeperCpu` — and with it a fresh
-/// thread pool — per measurement; routing through this cache means the workers
+/// datasets or setups would otherwise rebuild a CPU backend — and with it a
+/// fresh thread pool — per measurement; routing through this cache means the workers
 /// are spawned once per thread count and every iteration reuses them.
 fn pool_cache() -> &'static Mutex<HashMap<usize, Arc<rayon::ThreadPool>>> {
     static POOLS: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
@@ -92,7 +93,7 @@ pub fn gpu_throughput(
         let run = GateKeeperGpu::new(setup.device(), config).filter_set(set);
         ThroughputPoint::new(set.len(), run.kernel_seconds(), run.filter_seconds())
     } else {
-        let run = MultiGpuGateKeeper::new(setup.device(), devices, config).filter_set(set);
+        let run = MultiGpuGateKeeper::new(setup.device(), devices, config).filter_set(&set.pairs);
         ThroughputPoint::new(set.len(), run.kernel_seconds, run.filter_seconds)
     }
 }
@@ -128,7 +129,7 @@ pub fn multi_gpu_run(
         .with_encoding(encoding)
         .with_topology(topology)
         .with_topology_aware(aware);
-    let run = MultiGpuGateKeeper::new(setup.device(), devices, config).filter_set(set);
+    let run = MultiGpuGateKeeper::new(setup.device(), devices, config).filter_set(&set.pairs);
     for (device, device_run) in run.per_device.iter().enumerate() {
         let context = format!("{} x{devices} device {device}", setup.name);
         assert_no_timing_anomalies(&context, &device_run.pipeline);
@@ -136,34 +137,46 @@ pub fn multi_gpu_run(
     run
 }
 
+/// Hardware threads the host offers (`std::thread::available_parallelism`,
+/// 1 when unknown). Harnesses print it next to the pool's thread count: a
+/// 12-thread pool on a 2-core host still runs on 2 cores.
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Runs the multicore GateKeeper-CPU baseline over a set, on the shared pool
-/// for `cores` (no per-call thread spawning). The SIMD mode is `Auto`, so
-/// `GK_SIMD=scalar` in the environment forces the per-bit reference kernels.
-pub fn cpu_throughput(set: &PairSet, threshold: u32, cores: usize) -> ThroughputPoint {
-    cpu_throughput_with_mode(set, threshold, cores, SimdMode::Auto)
+/// of `threads` workers (no per-call thread spawning). The SIMD mode is
+/// `Auto`, so `GK_SIMD=scalar` in the environment forces the per-bit
+/// reference kernels.
+pub fn cpu_throughput(set: &PairSet, threshold: u32, threads: usize) -> ThroughputPoint {
+    cpu_throughput_with_mode(set, threshold, threads, SimdMode::Auto)
 }
 
 /// Like [`cpu_throughput`] with an explicit SIMD mode: `Lanes` for the
 /// word/lane-parallel kernels, `Scalar` for the per-bit reference baseline the
-/// speedup is reported against.
+/// speedup is reported against. The CPU backend fuses the 2-bit encoding into
+/// its block kernels, so the measured wall clock is both the kernel and the
+/// filter time.
 pub fn cpu_throughput_with_mode(
     set: &PairSet,
     threshold: u32,
-    cores: usize,
+    threads: usize,
     mode: SimdMode,
 ) -> ThroughputPoint {
-    let run = GateKeeperCpu::with_pool(threshold, cores, shared_pool(cores))
-        .with_simd_mode(mode)
-        .filter_set(set);
-    ThroughputPoint::new(set.len(), run.kernel_seconds, run.filter_seconds)
+    let backend = CpuSimdBackend::with_pool(shared_pool(threads)).with_simd_mode(mode);
+    let job = FilterJob::new(FilterKind::GateKeeper, threshold, &set.pairs);
+    let start = Instant::now();
+    backend.run(&job);
+    let seconds = start.elapsed().as_secs_f64();
+    ThroughputPoint::new(set.len(), seconds, seconds)
 }
 
 /// Drives a streaming pair source through GateKeeper-GPU on one device of a
 /// setup without materializing the pair set; the source's read length sizes
-/// the filter configuration. `encoding` selects the execution path:
+/// the filter configuration. `encoding` selects the modelled actor:
 /// [`EncodingActor::Device`] uploads raw reads and packs inside the fused
-/// encode+filter kernel (no host `encode_pair_batch` at all),
-/// [`EncodingActor::Host`] encodes on the pool before the transfer. With
+/// encode+filter kernel, [`EncodingActor::Host`] pays a host encode stage and
+/// ships 2-bit words. With
 /// `host_prefetch` on, the pipeline preps
 /// chunk *i+1* on the worker pool while chunk *i*'s kernel closure runs — the
 /// measured-wall-clock counterpart of the simulated stream overlap. On pools
@@ -373,9 +386,10 @@ mod tests {
         let scalar = cpu_throughput_with_mode(&set, 4, 2, SimdMode::Scalar);
         assert!(lanes.kernel_seconds > 0.0);
         assert!(scalar.kernel_seconds > 0.0);
-        // Lane mode fuses encoding into the kernel, so kernel time == filter time.
-        assert!((lanes.kernel_seconds - lanes.filter_seconds).abs() < 1e-12);
-        assert!(scalar.filter_seconds >= scalar.kernel_seconds);
+        // Both modes fuse encoding into the block kernels, so kernel time ==
+        // filter time.
+        assert_eq!(lanes.kernel_seconds, lanes.filter_seconds);
+        assert_eq!(scalar.kernel_seconds, scalar.filter_seconds);
     }
 
     #[test]

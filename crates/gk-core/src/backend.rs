@@ -31,96 +31,18 @@
 use crate::config::FilterConfig;
 use crate::gpu::GateKeeperGpu;
 use crate::multi_gpu::MultiGpuGateKeeper;
-use gk_filters::gatekeeper::GateKeeperConfig;
+use gk_filters::decide;
 use gk_filters::simd::SimdMode;
 use gk_filters::traits::FilterDecision;
-use gk_filters::{
-    gatekeeper_filter_block, magnet_filter_block, shouji_filter_block, sneaky_snake_filter_block,
-};
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::topology::TopologyKind;
-use gk_seq::pairs::{PairSet, SequencePair};
+use gk_seq::pairs::SequencePair;
 use std::collections::HashMap;
-use std::str::FromStr;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Pairs handed to one lane-parallel block task on the CPU backend — matches
-/// the block size of the `filter_batch` paths so batched service decisions
-/// stay bit-identical to the offline harness.
-const BACKEND_BLOCK_PAIRS: usize = 256;
-
-/// Which pre-alignment filter a request wants.
-///
-/// This is the service-facing name of the four lane-widened filters; it
-/// travels over the wire as a one-byte code (see [`FilterKind::code`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FilterKind {
-    /// The improved GateKeeper of this paper (leading/trailing-bit fix, §3.4).
-    GateKeeper,
-    /// MAGNET (Alser et al. 2017): greedy longest-zero-segment extraction.
-    Magnet,
-    /// Shouji (Alser et al. 2019): sliding-window neighborhood map.
-    Shouji,
-    /// SneakySnake (Alser et al. 2020): single-net-routing greedy lower bound.
-    SneakySnake,
-}
-
-impl FilterKind {
-    /// Every filter kind, in wire-code order.
-    pub const ALL: [FilterKind; 4] = [
-        FilterKind::GateKeeper,
-        FilterKind::Magnet,
-        FilterKind::Shouji,
-        FilterKind::SneakySnake,
-    ];
-
-    /// Stable one-byte wire code (`gk-seq::frame` request framing).
-    pub fn code(self) -> u8 {
-        match self {
-            FilterKind::GateKeeper => 0,
-            FilterKind::Magnet => 1,
-            FilterKind::Shouji => 2,
-            FilterKind::SneakySnake => 3,
-        }
-    }
-
-    /// Inverse of [`FilterKind::code`].
-    pub fn from_code(code: u8) -> Option<FilterKind> {
-        FilterKind::ALL.into_iter().find(|k| k.code() == code)
-    }
-
-    /// Short label for flags, tables and JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FilterKind::GateKeeper => "gatekeeper",
-            FilterKind::Magnet => "magnet",
-            FilterKind::Shouji => "shouji",
-            FilterKind::SneakySnake => "sneaky-snake",
-        }
-    }
-}
-
-impl std::fmt::Display for FilterKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for FilterKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FilterKind, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "gatekeeper" | "gk" => Ok(FilterKind::GateKeeper),
-            "magnet" => Ok(FilterKind::Magnet),
-            "shouji" => Ok(FilterKind::Shouji),
-            "sneaky-snake" | "sneakysnake" | "ss" => Ok(FilterKind::SneakySnake),
-            other => Err(format!(
-                "unknown filter kind {other:?} (expected gatekeeper, magnet, shouji or sneaky-snake)"
-            )),
-        }
-    }
-}
+/// The filter a job asks for; defined next to [`decide`] in `gk-filters`,
+/// which maps every kind to its block kernel.
+pub use gk_filters::FilterKind;
 
 /// One unit of backend work: a contiguous block of pairs, all filtered with
 /// the same kind and threshold (the batcher's coalescing key).
@@ -182,23 +104,10 @@ fn lock_cache<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-fn run_cpu_block(
-    job: &FilterJob<'_>,
-    block: &[SequencePair],
-    mode: SimdMode,
-) -> Vec<FilterDecision> {
-    match job.kind {
-        FilterKind::GateKeeper => {
-            gatekeeper_filter_block(block, &GateKeeperConfig::gpu(job.threshold), mode)
-        }
-        FilterKind::Magnet => magnet_filter_block(block, job.threshold, mode),
-        FilterKind::Shouji => shouji_filter_block(block, job.threshold, mode),
-        FilterKind::SneakySnake => sneaky_snake_filter_block(block, job.threshold, mode),
-    }
-}
-
-/// Multicore SIMD-lane backend: all four filters on the 4-lane
-/// struct-of-arrays kernels over the shared work-stealing pool.
+/// Multicore SIMD-lane backend, and the multicore CPU baseline of the
+/// throughput comparison (Table 2): all four filters through [`decide`] on
+/// its work-stealing pool. Harnesses that report CPU throughput time
+/// [`FilterBackend::run`] at the call site.
 pub struct CpuSimdBackend {
     /// `None` runs on the caller's current pool (the fallback when a
     /// dedicated pool cannot be built — real rayon's builder can fail on
@@ -240,14 +149,7 @@ impl FilterBackend for CpuSimdBackend {
     }
 
     fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
-        use rayon::prelude::*;
-        let mode = self.mode;
-        let filter = || {
-            job.pairs
-                .par_chunks(BACKEND_BLOCK_PAIRS)
-                .flat_map(|block| run_cpu_block(job, block, mode))
-                .collect()
-        };
+        let filter = || decide(job.kind, job.threshold, job.pairs, self.mode);
         match &self.pool {
             Some(pool) => pool.install(filter),
             None => filter(),
@@ -388,8 +290,7 @@ impl FilterBackend for MultiGpuBackend {
         match job.kind {
             FilterKind::GateKeeper => {
                 let multi = self.instance(job.read_len.max(1), job.threshold);
-                let set = PairSet::new("serve", job.read_len, job.pairs.to_vec());
-                multi.filter_set(&set).decisions
+                multi.filter_set(job.pairs).decisions
             }
             _ => self.fallback.run(job),
         }
@@ -441,6 +342,7 @@ mod tests {
     use super::*;
     use gk_filters::traits::decision_digest;
     use gk_seq::datasets::DatasetProfile;
+    use gk_seq::pairs::PairSet;
 
     fn sample_pairs(count: usize) -> Vec<SequencePair> {
         DatasetProfile::set3().generate(count, 0x5e12_7a01).pairs

@@ -117,16 +117,14 @@ impl FilterConfig {
         self
     }
 
-    /// Selects the **device-side encoding execution path** (`true`) or the
-    /// host-encode path (`false`). With device encode on, the pipeline's prep
-    /// stage skips `encode_pair_batch` entirely: chunks are gathered into raw
-    /// 1-byte-per-base transfer arenas (`gk_seq::raw::RawPairBatch`, sliced
-    /// zero-copy), the H2D transfer carries ~4× the bytes, and each kernel
-    /// thread packs its own pair at the top of a fused encode+filter kernel
-    /// (`TimingBreakdown::encode_device_seconds` reports that in-kernel
-    /// share). Decisions are byte-identical to the host path in every mode
-    /// combination. This is sugar over [`FilterConfig::with_encoding`]: the
-    /// encoding actor *is* the execution-path switch.
+    /// Selects the **device-side encoding actor** (`true`) or the host-encode
+    /// actor (`false`). With device encode on, the modelled H2D transfer
+    /// carries the raw 1-byte-per-base arena (~4× the bytes) and each kernel
+    /// thread pays for packing its own pair at the top of a fused
+    /// encode+filter kernel (`TimingBreakdown::encode_device_seconds` reports
+    /// that in-kernel share) instead of the host paying an encode stage.
+    /// Decisions are byte-identical to the host actor in every mode
+    /// combination. This is sugar over [`FilterConfig::with_encoding`].
     pub fn with_device_encode(mut self, device: bool) -> FilterConfig {
         self.encoding = if device {
             EncodingActor::Device
@@ -136,7 +134,7 @@ impl FilterConfig {
         self
     }
 
-    /// True when the device-side encoding execution path is selected.
+    /// True when the device-side encoding actor is selected.
     pub fn device_encode(&self) -> bool {
         self.encoding == EncodingActor::Device
     }

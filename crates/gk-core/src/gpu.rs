@@ -8,33 +8,32 @@
 //! distance back from the result buffer (§3.5).
 //!
 //! Functional behaviour (the decisions) comes from actually running the improved
-//! GateKeeper kernel of `gk-filters` for every pair. Timing comes from the device
+//! GateKeeper kernel of `gk-filters` for every pair, through the same
+//! [`gk_filters::decide`] dispatch every other path uses. Timing comes from the device
 //! model in `gk-gpusim` plus a small set of host-side cost constants, calibrated so
 //! the *relative* behaviour of the paper is reproduced: kernel time grows mildly
 //! with the error threshold while filter time is dominated by host preparation and
 //! transfers; host encoding shrinks the transfer but adds host time; prefetch-less
 //! devices (Kepler) pay page-fault overhead.
 //!
-//! The encoding actor selects one of two genuinely different **execution
-//! paths**, not just two timing attributions:
+//! Both encoding actors prep a chunk the same way: the host gathers it into a
+//! raw 1-byte-per-base transfer arena ([`gk_seq::raw::RawPairBatch`]) and the
+//! device stage decides straight from that arena. The encoding actor selects
+//! only the **model** attached to the decisions:
 //!
-//! * **host encode** ([`EncodingActor::Host`]) — the prep stage runs
-//!   `gk_seq::pairs::encode_pair_batch` on the worker pool and the device
-//!   stage consumes packed words; the H2D buffers carry 2-bit words and the
-//!   host pays `TimingBreakdown::encode_seconds`;
+//! * **host encode** ([`EncodingActor::Host`]) — the H2D buffers carry 2-bit
+//!   words and the host pays `TimingBreakdown::encode_seconds` at the modelled
+//!   host encode rate; the plain kernel's resources apply;
 //! * **device encode** ([`EncodingActor::Device`],
-//!   [`FilterConfig::with_device_encode`]) — the prep stage only *gathers*
-//!   chunks into raw 1-byte-per-base transfer arenas
-//!   ([`gk_seq::raw::RawPairBatch`], sliced zero-copy per chunk), the H2D
-//!   buffers carry ~4× the bytes, and every thread of a **fused
-//!   encode+filter kernel** packs its own pair before filtering — the encode
-//!   cost lands inside the kernel time
-//!   (`TimingBreakdown::encode_device_seconds`, per-base cycle model in
-//!   `gk_gpusim::encode`) and the host never touches a packed word.
+//!   [`FilterConfig::with_device_encode`]) — the H2D buffers carry the arena's
+//!   ~4× larger raw bytes, and every thread of the **fused encode+filter
+//!   kernel** pays its packing cycles, so the encode cost lands inside the
+//!   kernel time (`TimingBreakdown::encode_device_seconds`, per-base cycle
+//!   model in `gk_gpusim::encode`) under the fused kernel's resources.
 //!
-//! Decisions are byte-identical between the two paths for every chunk size,
-//! overlap setting, prefetch setting and device count — the root
-//! `encode_mode_equivalence` suite proptests exactly that.
+//! Where the 2-bit packing happens never changes a decision (§3.4); the root
+//! `encode_mode_equivalence` suite proptests that for every chunk size,
+//! overlap setting, prefetch setting and device count.
 //!
 //! Execution is organised as the chunked three-stage pipeline of
 //! [`crate::pipeline`]: every run — [`GateKeeperGpu::filter_set`] over a
@@ -51,9 +50,10 @@ use crate::pipeline::{
     PREFETCH_IN_FLIGHT,
 };
 use crate::timing::TimingBreakdown;
-use gk_filters::gatekeeper::{gatekeeper_kernel, gatekeeper_kernel_reference, GateKeeperConfig};
-use gk_filters::simd::{gatekeeper_filter_block_packed, gatekeeper_filter_block_slices, SimdMode};
+use gk_filters::gatekeeper::{gatekeeper_kernel, GateKeeperConfig};
+use gk_filters::simd::SimdMode;
 use gk_filters::traits::{FilterDecision, PreAlignmentFilter};
+use gk_filters::{decide, FilterKind};
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::executor::{launch_kernel, KernelResources, ThreadReport};
 use gk_gpusim::memory::{MemAdvise, MemoryStats, UnifiedMemory, PAGE_SIZE};
@@ -61,10 +61,9 @@ use gk_gpusim::power::PowerReport;
 use gk_gpusim::profiler::Profiler;
 use gk_gpusim::stream::Stream;
 use gk_gpusim::topology::ChunkLoad;
-use gk_seq::pairs::{encode_pair_batch, PairSet, SequencePair};
+use gk_seq::pairs::{PairSet, SequencePair};
 use gk_seq::raw::{RawPairBatch, RawPairSlice};
 use gk_seq::PackedSeq;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -86,10 +85,6 @@ pub(crate) const CYCLES_PER_MASK_WORD: u64 = 1_000;
 const CYCLES_UNDEFINED: u64 = 300;
 /// Extra data-dependent cycles per estimated edit (amendment/counting divergence).
 const CYCLES_PER_EDIT: u64 = 120;
-
-/// Pairs handed to one lane-parallel kernel task in SIMD mode (mirrors the
-/// CPU baseline's block size so both paths amortise the SoA transpose alike).
-const LANE_BLOCK_PAIRS: usize = 256;
 
 /// Result of filtering a pair set on the (simulated) GPU.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -227,28 +222,28 @@ impl GateKeeperGpu {
     }
 
     /// Runs the device side of one pipeline chunk (unified-memory traffic,
-    /// kernel launch, result read-back) over its prepared input: packed words
-    /// in host-encoded mode, a zero-copy raw-arena view in device-encoded
-    /// mode (where the kernel is the fused encode+filter variant).
+    /// kernel launch, result read-back) over its gathered raw arena. The
+    /// encoding actor picks the model: the bytes that cross the link, the
+    /// kernel's resources and the in-kernel encode cycles.
     fn device_stage(
         &self,
-        batch_len: usize,
-        input: ChunkInput<'_>,
+        raw: RawPairSlice<'_>,
         memory: &mut UnifiedMemory,
         profiler: &mut Profiler,
     ) -> DeviceOutcome {
+        let batch_len = raw.len();
         // Unified-memory buffers: reads, reference segments, results. The
-        // H2D size follows the prepared input itself: packed 2-bit words in
-        // host-encoded mode, the raw arena's actual footprint (stride-padded
-        // 1-byte bases — padding crosses the link like real bases) in
-        // device-encoded mode, so the arena is the single source of truth
-        // for raw-mode transfer accounting.
+        // H2D size is the packed 2-bit words in host-encoded mode and the raw
+        // arena's actual footprint (stride-padded 1-byte bases — padding
+        // crosses the link like real bases) in device-encoded mode, so the
+        // arena is the single source of truth for raw-mode transfer
+        // accounting.
         memory.reset();
-        let input_bytes = match &input {
-            ChunkInput::Encoded(_) => {
+        let input_bytes = match self.config.encoding {
+            EncodingActor::Host => {
                 2 * self.config.words_per_sequence() as u64 * 4 * batch_len as u64
             }
-            ChunkInput::Raw(raw) => raw.h2d_bytes(),
+            EncodingActor::Device => raw.h2d_bytes(),
         };
         let result_bytes = 8 * batch_len as u64;
         let reads_buffer = memory
@@ -296,64 +291,14 @@ impl GateKeeperGpu {
             prefetch_seconds = t_reads + t_refs;
         }
 
-        // Stage 2 (device): kernel launch, one filtration per thread (scalar
-        // mode) or one warp-like lane group of four per task (lane mode). In
-        // host-encoded mode the threads consume pre-packed words; in
-        // device-encoded mode they run the fused kernel — pack the raw bases
-        // they were handed, then filter — which is what makes the two paths
-        // byte-identical: both end up filtering the same 2-bit sequences.
-        let use_lanes = self.simd == SimdMode::Lanes;
-        let decisions: Vec<FilterDecision> = match input {
-            ChunkInput::Encoded(encoded) if use_lanes => encoded
-                .par_chunks(LANE_BLOCK_PAIRS)
-                .flat_map(|block| {
-                    let refs: Vec<(&PackedSeq, &PackedSeq)> = block
-                        .iter()
-                        .map(|(read, reference)| (read, reference))
-                        .collect();
-                    gatekeeper_filter_block_packed(&refs, &self.kernel_config, SimdMode::Lanes)
-                })
-                .collect(),
-            ChunkInput::Encoded(encoded) => encoded
-                .par_iter()
-                .map(|(read, reference)| {
-                    if read.is_undefined() || reference.is_undefined() {
-                        FilterDecision::undefined_pass()
-                    } else {
-                        gatekeeper_kernel_reference(read, reference, &self.kernel_config)
-                    }
-                })
-                .collect(),
-            ChunkInput::Raw(raw) if use_lanes => {
-                let starts: Vec<usize> = (0..raw.len()).step_by(LANE_BLOCK_PAIRS).collect();
-                starts
-                    .into_par_iter()
-                    .flat_map(|start| {
-                        let end = (start + LANE_BLOCK_PAIRS).min(raw.len());
-                        let slices: Vec<(&[u8], &[u8])> = (start..end)
-                            .map(|i| (raw.read(i), raw.reference(i)))
-                            .collect();
-                        gatekeeper_filter_block_slices(
-                            &slices,
-                            &self.kernel_config,
-                            SimdMode::Lanes,
-                        )
-                    })
-                    .collect()
-            }
-            ChunkInput::Raw(raw) => (0..raw.len())
-                .into_par_iter()
-                .map(|i| {
-                    let read = PackedSeq::from_ascii(raw.read(i));
-                    let reference = PackedSeq::from_ascii(raw.reference(i));
-                    if read.is_undefined() || reference.is_undefined() {
-                        FilterDecision::undefined_pass()
-                    } else {
-                        gatekeeper_kernel_reference(&read, &reference, &self.kernel_config)
-                    }
-                })
-                .collect(),
-        };
+        // Stage 2 (device): the decisions come from the one dispatch every
+        // path shares; the launch below only attaches modelled cycles to them.
+        let decisions = decide(
+            FilterKind::GateKeeper,
+            self.config.threshold,
+            &raw,
+            self.simd,
+        );
 
         // On devices without prefetch support the kernel's first touch of each page
         // faults and migrates on demand; that cost lands in the kernel's critical
@@ -509,70 +454,36 @@ struct DeviceOutcome {
     d2h_bytes: u64,
 }
 
-/// Owned output of one chunk's prep stage — what travels through the prefetch
-/// executor's pool tasks.
-enum ChunkData {
-    /// Host-encoded mode: the packed 2-bit words, ready for the plain kernel.
-    Encoded(Vec<(PackedSeq, PackedSeq)>),
-    /// Device-encoded mode: the raw transfer arena; the fused kernel packs it.
-    Raw(RawPairBatch),
-}
-
-impl ChunkData {
-    fn as_input(&self) -> ChunkInput<'_> {
-        match self {
-            ChunkData::Encoded(encoded) => ChunkInput::Encoded(encoded),
-            ChunkData::Raw(raw) => ChunkInput::Raw(raw.view()),
-        }
-    }
-}
-
-/// Borrowed view of one chunk's prepared input, as the device stage consumes
-/// it.
-enum ChunkInput<'a> {
-    /// Packed 2-bit words (host-encoded mode).
-    Encoded(&'a [(PackedSeq, PackedSeq)]),
-    /// Raw 1-byte-per-base arena view (device-encoded mode).
-    Raw(RawPairSlice<'a>),
-}
-
 /// Owned prepped chunk produced ahead of time by the prefetch executor.
 struct PreppedChunk {
     pairs: Vec<SequencePair>,
-    data: ChunkData,
+    raw: RawPairBatch,
     host_prep_seconds: f64,
     encode_seconds: f64,
 }
 
-/// The host stage of one chunk: buffer preparation, plus — in host-encoded
-/// mode only — the 2-bit packing. In device-encoded mode the host merely
-/// *gathers* the raw bases into the flat transfer arena; no `PackedSeq` is
-/// ever built on the host, which is the whole point of the path. A free
+/// The host stage of one chunk: gather the pairs into the flat raw transfer
+/// arena, and attach the modelled host costs — buffer preparation always,
+/// 2-bit packing at the host encode rate in host-encoded mode. A free
 /// function over owned/`Copy` inputs so the prefetch executor can run it as a
 /// `'static` task on the worker pool.
 fn prep_stage(
     batch: &[SequencePair],
     read_len: usize,
     encoding: EncodingActor,
-) -> (ChunkData, f64, f64) {
+) -> (RawPairBatch, f64, f64) {
     let host_prep_seconds = batch.len() as f64 * HOST_PREP_SECONDS_PER_PAIR;
-    match encoding {
+    let encode_seconds = match encoding {
         EncodingActor::Host => {
-            let encoded: Vec<(PackedSeq, PackedSeq)> = encode_pair_batch(batch);
-            let encode_seconds =
-                2.0 * batch.len() as f64 * read_len as f64 / HOST_ENCODE_BASES_PER_SECOND;
-            (
-                ChunkData::Encoded(encoded),
-                host_prep_seconds,
-                encode_seconds,
-            )
+            2.0 * batch.len() as f64 * read_len as f64 / HOST_ENCODE_BASES_PER_SECOND
         }
-        EncodingActor::Device => (
-            ChunkData::Raw(RawPairBatch::from_pairs(batch)),
-            host_prep_seconds,
-            0.0,
-        ),
-    }
+        EncodingActor::Device => 0.0,
+    };
+    (
+        RawPairBatch::from_pairs(batch),
+        host_prep_seconds,
+        encode_seconds,
+    )
 }
 
 /// Stateful chunked execution of one filtering run on one device: owns the
@@ -580,10 +491,11 @@ fn prep_stage(
 /// pair slices in input order by the `filter_*` entry points.
 ///
 /// With [`FilterConfig::host_prefetch`] on (and a parallel worker pool), the
-/// engine is a *wall-clock* prefetch executor: each chunk's prep+encode is
-/// dispatched as a task on the shared pool, so chunk *i+1* encodes while chunk
-/// *i*'s kernel closure runs on the caller. At most [`PREFETCH_IN_FLIGHT`]
-/// encoded chunks exist at any moment, keeping memory bounded, and chunks are
+/// engine is a *wall-clock* prefetch executor: each chunk's prep (the raw
+/// arena gather) is dispatched as a task on the shared pool, so chunk *i+1* is
+/// gathered while chunk *i*'s kernel closure runs on the caller. At most
+/// [`PREFETCH_IN_FLIGHT`] prepped chunks exist at any moment, keeping memory
+/// bounded, and chunks are
 /// drained strictly in input order so decisions, sink calls and the simulated
 /// timeline are byte-identical to the serial path.
 struct PipelineEngine<'g> {
@@ -596,7 +508,7 @@ struct PipelineEngine<'g> {
     /// One [`ChunkLoad`] per completed chunk, in pipeline order, for the
     /// multi-GPU contention replay.
     chunk_loads: Vec<ChunkLoad>,
-    /// True when the engine actually dispatches encode tasks to the pool
+    /// True when the engine actually dispatches prep tasks to the pool
     /// (knob on *and* the pool is parallel — under `RAYON_NUM_THREADS=1` the
     /// engine keeps today's serial path).
     prefetch: bool,
@@ -623,7 +535,7 @@ impl<'g> PipelineEngine<'g> {
 
     /// Cuts `pairs` into plan-sized chunks and runs each through the three
     /// stages, handing every chunk's decisions to `sink` in input order. In
-    /// prefetch mode the encode of the newest chunk runs on the pool while
+    /// prefetch mode the prep of the newest chunk runs on the pool while
     /// older chunks' kernel closures execute here; callers must [`Self::flush`]
     /// after the last `feed` to drain what is still in flight.
     fn feed<F>(&mut self, pairs: &[SequencePair], sink: &mut F)
@@ -639,26 +551,19 @@ impl<'g> PipelineEngine<'g> {
                 }
             }
         } else {
-            // One prep per chunk in both encode modes: a whole-slice raw
-            // arena would copy exactly the same bytes while holding the
-            // entire fed slice live, breaking the bounded-memory contract
-            // for big materialized sets.
+            // One arena per chunk: a whole-slice arena would copy exactly
+            // the same bytes while holding the entire fed slice live,
+            // breaking the bounded-memory contract for big materialized sets.
             for chunk in pairs.chunks(size) {
-                let (data, host_prep_seconds, encode_seconds) =
+                let (raw, host_prep_seconds, encode_seconds) =
                     prep_stage(chunk, self.gpu.config.read_len, self.gpu.config.encoding);
-                self.complete_chunk(
-                    chunk,
-                    data.as_input(),
-                    host_prep_seconds,
-                    encode_seconds,
-                    sink,
-                );
+                self.complete_chunk(chunk, raw.view(), host_prep_seconds, encode_seconds, sink);
             }
         }
     }
 
     /// Like [`Self::feed`], but takes ownership of the batch so prefetch-mode
-    /// chunks *move* into their encode tasks instead of being cloned — the
+    /// chunks *move* into their prep tasks instead of being cloned — the
     /// whole-genome streaming path, where batches are produced owned anyway.
     fn feed_owned<F>(&mut self, batch: Vec<SequencePair>, sink: &mut F)
     where
@@ -681,16 +586,16 @@ impl<'g> PipelineEngine<'g> {
         }
     }
 
-    /// Dispatches one owned chunk's prep (gather, plus encode in host mode)
-    /// as a task on the worker pool.
+    /// Dispatches one owned chunk's prep (the raw-arena gather) as a task on
+    /// the worker pool.
     fn spawn_prep(&mut self, owned: Vec<SequencePair>) {
         let read_len = self.gpu.config.read_len;
         let encoding = self.gpu.config.encoding;
         self.pending.push_back(rayon::spawn(move || {
-            let (data, host_prep_seconds, encode_seconds) = prep_stage(&owned, read_len, encoding);
+            let (raw, host_prep_seconds, encode_seconds) = prep_stage(&owned, read_len, encoding);
             PreppedChunk {
                 pairs: owned,
-                data,
+                raw,
                 host_prep_seconds,
                 encode_seconds,
             }
@@ -715,7 +620,7 @@ impl<'g> PipelineEngine<'g> {
             let chunk = handle.join();
             self.complete_chunk(
                 &chunk.pairs,
-                chunk.data.as_input(),
+                chunk.raw.view(),
                 chunk.host_prep_seconds,
                 chunk.encode_seconds,
                 sink,
@@ -723,13 +628,13 @@ impl<'g> PipelineEngine<'g> {
         }
     }
 
-    /// Runs the device side of one encoded chunk and records its stages on the
-    /// simulated timeline — identical bookkeeping whether the encode happened
-    /// inline or ahead of time on the pool.
+    /// Runs the device side of one gathered chunk and records its stages on
+    /// the simulated timeline — identical bookkeeping whether the prep
+    /// happened inline or ahead of time on the pool.
     fn complete_chunk<F>(
         &mut self,
         pairs: &[SequencePair],
-        input: ChunkInput<'_>,
+        raw: RawPairSlice<'_>,
         host_prep_seconds: f64,
         encode_seconds: f64,
         sink: &mut F,
@@ -737,7 +642,7 @@ impl<'g> PipelineEngine<'g> {
         F: FnMut(&[SequencePair], Vec<FilterDecision>),
     {
         let gpu = self.gpu;
-        let device = gpu.device_stage(pairs.len(), input, &mut self.memory, &mut self.profiler);
+        let device = gpu.device_stage(raw, &mut self.memory, &mut self.profiler);
         // Page faults sit on the kernel's critical path (§4.3) even though
         // reporting accounts them as transfer time.
         let stages = ChunkStageSeconds {
@@ -771,7 +676,7 @@ impl<'g> PipelineEngine<'g> {
     ) {
         debug_assert!(
             self.pending.is_empty(),
-            "pipeline engine finished with encode tasks still in flight"
+            "pipeline engine finished with prep tasks still in flight"
         );
         let overlap = self.gpu.config.overlap;
         if overlap && self.schedule.chunks() > 0 {

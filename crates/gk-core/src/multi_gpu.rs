@@ -45,7 +45,7 @@ use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::memory::MemoryStats;
 use gk_gpusim::multi::MultiGpu;
 use gk_gpusim::topology::{simulate_contended, weighted_partition, ChunkLoad, Topology};
-use gk_seq::pairs::PairSet;
+use gk_seq::pairs::SequencePair;
 use serde::{Deserialize, Serialize};
 
 /// Result of a multi-GPU filtering run.
@@ -318,13 +318,13 @@ impl MultiGpuGateKeeper {
             .collect()
     }
 
-    /// Filters a pair set across all devices on the configured topology.
-    pub fn filter_set(&self, pairs: &PairSet) -> MultiGpuRun {
+    /// Filters a run of pairs across all devices on the configured topology.
+    pub fn filter_set(&self, pairs: &[SequencePair]) -> MultiGpuRun {
         self.run_schedule(&self.schedule(pairs.len()), pairs)
     }
 
-    /// Filters a pair set across all devices on an explicit topology.
-    pub fn filter_set_on(&self, topology: &Topology, pairs: &PairSet) -> MultiGpuRun {
+    /// Filters a run of pairs across all devices on an explicit topology.
+    pub fn filter_set_on(&self, topology: &Topology, pairs: &[SequencePair]) -> MultiGpuRun {
         self.run_schedule(&self.schedule_for(topology, pairs.len()), pairs)
     }
 
@@ -332,7 +332,7 @@ impl MultiGpuGateKeeper {
     /// configuration. The shares are independent, so they are processed
     /// sequentially here while the timing combines them as if they ran
     /// concurrently (which they do on real hardware).
-    pub fn run_schedule(&self, schedule: &MultiGpuSchedule, pairs: &PairSet) -> MultiGpuRun {
+    pub fn run_schedule(&self, schedule: &MultiGpuSchedule, pairs: &[SequencePair]) -> MultiGpuRun {
         let mut per_device = Vec::with_capacity(schedule.assignments.len());
         let mut decisions = vec![gk_filters::FilterDecision::accept(0); pairs.len()];
         for (device_spec, assignment) in self
@@ -346,7 +346,7 @@ impl MultiGpuGateKeeper {
                 assignment
                     .ranges
                     .iter()
-                    .map(|&(start, end)| &pairs.pairs[start..end]),
+                    .map(|&(start, end)| &pairs[start..end]),
             );
             let mut cursor = 0usize;
             for &(start, end) in &assignment.ranges {
@@ -445,6 +445,7 @@ mod tests {
     use crate::config::EncodingActor;
     use gk_gpusim::topology::{LinkSpec, TopologyKind};
     use gk_seq::datasets::DatasetProfile;
+    use gk_seq::pairs::PairSet;
 
     fn pairs(count: usize) -> PairSet {
         DatasetProfile::set3().generate(count, 321)
@@ -461,8 +462,8 @@ mod tests {
     #[test]
     fn multi_gpu_decisions_match_single_gpu() {
         let set = pairs(2_000);
-        let single = multi(1, EncodingActor::Device).filter_set(&set);
-        let eight = multi(8, EncodingActor::Device).filter_set(&set);
+        let single = multi(1, EncodingActor::Device).filter_set(&set.pairs);
+        let eight = multi(8, EncodingActor::Device).filter_set(&set.pairs);
         assert_eq!(single.decisions, eight.decisions);
         assert_eq!(eight.devices, 8);
         assert_eq!(eight.per_device.len(), 8);
@@ -471,9 +472,9 @@ mod tests {
     #[test]
     fn kernel_time_improves_with_more_devices() {
         let set = pairs(4_000);
-        let one = multi(1, EncodingActor::Host).filter_set(&set);
-        let four = multi(4, EncodingActor::Host).filter_set(&set);
-        let eight = multi(8, EncodingActor::Host).filter_set(&set);
+        let one = multi(1, EncodingActor::Host).filter_set(&set.pairs);
+        let four = multi(4, EncodingActor::Host).filter_set(&set.pairs);
+        let eight = multi(8, EncodingActor::Host).filter_set(&set.pairs);
         assert!(four.kernel_seconds < one.kernel_seconds);
         assert!(eight.kernel_seconds < four.kernel_seconds);
     }
@@ -481,8 +482,8 @@ mod tests {
     #[test]
     fn filter_time_scales_sublinearly_because_of_host_costs() {
         let set = pairs(4_000);
-        let one = multi(1, EncodingActor::Host).filter_set(&set);
-        let eight = multi(8, EncodingActor::Host).filter_set(&set);
+        let one = multi(1, EncodingActor::Host).filter_set(&set.pairs);
+        let eight = multi(8, EncodingActor::Host).filter_set(&set.pairs);
         let kernel_speedup = one.kernel_seconds / eight.kernel_seconds;
         let filter_speedup = one.filter_seconds / eight.filter_seconds;
         assert!(filter_speedup >= 1.0);
@@ -497,7 +498,7 @@ mod tests {
         let set = pairs(3_000);
         let mut last = 0.0;
         for devices in [1usize, 2, 4] {
-            let run = multi(devices, EncodingActor::Host).filter_set(&set);
+            let run = multi(devices, EncodingActor::Host).filter_set(&set.pairs);
             let point = ScalingPoint::from_run(&run, set.len());
             assert_eq!(point.devices, devices);
             assert!(point.kernel_mps > last, "devices = {devices}");
@@ -530,10 +531,10 @@ mod tests {
             .with_encoding(EncodingActor::Host)
             .with_chunk_pairs(250);
         let serialized =
-            MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config).filter_set(&set);
+            MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config).filter_set(&set.pairs);
         let overlapped =
             MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config.with_overlap(true))
-                .filter_set(&set);
+                .filter_set(&set.pairs);
         assert_eq!(serialized.decisions, overlapped.decisions);
         assert_eq!(serialized.kernel_seconds, overlapped.kernel_seconds);
         assert!(overlapped.filter_seconds < serialized.filter_seconds);
@@ -546,13 +547,14 @@ mod tests {
             .with_encoding(EncodingActor::Host)
             .with_chunk_pairs(200)
             .with_overlap(true);
-        let serial = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config).filter_set(&set);
+        let serial =
+            MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config).filter_set(&set.pairs);
         let prefetched = MultiGpuGateKeeper::new(
             DeviceSpec::gtx_1080_ti(),
             4,
             config.with_host_prefetch(true),
         )
-        .filter_set(&set);
+        .filter_set(&set.pairs);
         assert_eq!(serial.decisions, prefetched.decisions);
         assert_eq!(serial.kernel_seconds, prefetched.kernel_seconds);
         assert_eq!(serial.filter_seconds, prefetched.filter_seconds);
@@ -564,14 +566,14 @@ mod tests {
 
     #[test]
     fn device_encode_shards_identically_to_host_encode() {
-        // The encoding execution path must be transparent to the round-robin
+        // The encoding actor must be transparent to the round-robin
         // sharding: same decisions on 1 and 4 devices, in both modes, and the
         // host-paid-once accounting still holds (device mode pays no host
         // encode at all).
         let set = pairs(3_000);
-        let host = multi(4, EncodingActor::Host).filter_set(&set);
-        let device = multi(4, EncodingActor::Device).filter_set(&set);
-        let single_device = multi(1, EncodingActor::Device).filter_set(&set);
+        let host = multi(4, EncodingActor::Host).filter_set(&set.pairs);
+        let device = multi(4, EncodingActor::Device).filter_set(&set.pairs);
+        let single_device = multi(1, EncodingActor::Device).filter_set(&set.pairs);
         assert_eq!(host.decisions, device.decisions);
         assert_eq!(device.decisions, single_device.decisions);
         for run in &device.per_device {
@@ -589,7 +591,7 @@ mod tests {
     #[test]
     fn accepted_counts_are_consistent() {
         let set = pairs(1_000);
-        let run = multi(3, EncodingActor::Device).filter_set(&set);
+        let run = multi(3, EncodingActor::Device).filter_set(&set.pairs);
         assert_eq!(
             run.accepted(),
             run.decisions.iter().filter(|d| d.accepted).count()
@@ -601,7 +603,7 @@ mod tests {
     #[test]
     fn timing_accumulation_covers_all_devices() {
         let set = pairs(1_000);
-        let run = multi(2, EncodingActor::Device).filter_set(&set);
+        let run = multi(2, EncodingActor::Device).filter_set(&set.pairs);
         let total = ScalingPoint::timing_of(&run);
         assert!(total.kernel_seconds >= run.kernel_seconds);
     }
@@ -609,7 +611,7 @@ mod tests {
     #[test]
     fn naive_runs_on_private_links_replay_without_contention() {
         let set = pairs(1_000);
-        let run = multi(2, EncodingActor::Device).filter_set(&set);
+        let run = multi(2, EncodingActor::Device).filter_set(&set.pairs);
         assert_eq!(run.interconnect.topology, "private");
         assert!(!run.interconnect.aware);
         // Private links are their own uncontended twin: identical makespan,
@@ -626,7 +628,7 @@ mod tests {
     #[test]
     fn shared_root_contention_shows_up_only_in_the_replay() {
         let set = pairs(4_000);
-        let private = multi(4, EncodingActor::Device).filter_set(&set);
+        let private = multi(4, EncodingActor::Device).filter_set(&set.pairs);
         let shared = MultiGpuGateKeeper::new(
             DeviceSpec::gtx_1080_ti(),
             4,
@@ -634,7 +636,7 @@ mod tests {
                 .with_encoding(EncodingActor::Device)
                 .with_topology(TopologyKind::SharedRoot),
         )
-        .filter_set(&set);
+        .filter_set(&set.pairs);
         // The topology knob adds reporting; every pre-existing field is
         // bit-for-bit what the private-link run produced.
         assert_eq!(private.decisions, shared.decisions);
@@ -657,10 +659,11 @@ mod tests {
         let base = FilterConfig::new(100, 2)
             .with_encoding(EncodingActor::Device)
             .with_topology(TopologyKind::SharedRoot);
-        let naive = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base).filter_set(&set);
+        let naive =
+            MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base).filter_set(&set.pairs);
         let aware =
             MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base.with_topology_aware(true))
-                .filter_set(&set);
+                .filter_set(&set.pairs);
         assert_eq!(naive.decisions, aware.decisions);
         assert!(
             aware.interconnect.makespan_seconds() < naive.interconnect.makespan_seconds(),
@@ -699,8 +702,8 @@ mod tests {
         }
         // The flip retunes the plan, never the decisions.
         let set = pairs(2_000);
-        let flipped = filter.filter_set_on(&starved, &set);
-        let baseline = filter.filter_set(&set);
+        let flipped = filter.filter_set_on(&starved, &set.pairs);
+        let baseline = filter.filter_set(&set.pairs);
         assert_eq!(flipped.decisions, baseline.decisions);
     }
 

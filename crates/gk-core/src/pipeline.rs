@@ -21,9 +21,9 @@
 //! The types here account *simulated time*: decisions are computed chunk by
 //! chunk in input order and are byte-identical whether overlap is on or off.
 //! The engine driving them (`gk-core::gpu`) additionally overlaps real host
-//! work when [`FilterConfig::host_prefetch`] is set — chunk *i+1*'s prep+encode
+//! work when [`FilterConfig::host_prefetch`] is set — chunk *i+1*'s prep
 //! runs as a worker-pool task while chunk *i*'s kernel closure executes, with
-//! at most [`PREFETCH_IN_FLIGHT`] encoded chunks in flight — shrinking the
+//! at most [`PREFETCH_IN_FLIGHT`] prepped chunks in flight — shrinking the
 //! *measured* wall-clock (`TimingBreakdown::host_wall_seconds`) without
 //! touching the simulated splits.
 
@@ -39,11 +39,11 @@ use std::collections::VecDeque;
 /// *i*'s upload may only start once chunk *i − 3*'s read-back has freed a slot.
 pub const BUFFER_SLOTS: usize = 3;
 
-/// Maximum number of *encoded* chunks the host-side prefetch keeps in flight:
-/// one being consumed by the kernel closure plus one encoding ahead on the
-/// worker pool. Bounded at `BUFFER_SLOTS − 1` so real memory usage mirrors the
-/// simulated buffer-slot rotation (the third slot is the drained read-back,
-/// which holds no encoded input).
+/// Maximum number of *prepped* chunks the host-side prefetch keeps in flight:
+/// one being consumed by the kernel closure plus one being gathered ahead on
+/// the worker pool. Bounded at `BUFFER_SLOTS − 1` so real memory usage mirrors
+/// the simulated buffer-slot rotation (the third slot is the drained
+/// read-back, which holds no input).
 pub const PREFETCH_IN_FLIGHT: usize = BUFFER_SLOTS - 1;
 
 /// Smallest chunk the contention-aware refinement will shrink to: below a few
@@ -153,13 +153,13 @@ pub struct PipelineReport {
     /// The same work executed stage after stage, chunk after chunk.
     pub serialized_seconds: f64,
     /// Whether the run's host side actually prefetched: chunk *i+1*'s
-    /// prep+encode executed on the worker pool while chunk *i*'s kernel
+    /// prep executed on the worker pool while chunk *i*'s kernel
     /// closure ran. `false` when the knob was off *or* the pool was
     /// sequential (`RAYON_NUM_THREADS=1` fallback).
     pub host_prefetch: bool,
-    /// Whether the run used the device-side encoding execution path (raw
+    /// Whether the run modelled the device-side encoding actor (raw
     /// 1-byte-per-base uploads + fused encode+filter kernel) instead of host
-    /// `encode_pair_batch`.
+    /// 2-bit encoding before the transfer.
     pub device_encode: bool,
     /// Ill-formed simulated durations saturated to zero by the timeline (see
     /// `gk_gpusim::stream::Stream::anomalies`). Always `0` on a healthy run;

@@ -20,6 +20,10 @@
 //! | [`ShoujiFilter`] | Alser et al. 2019 | sliding-window neighborhood-map filter |
 //! | [`SneakySnakeFilter`] | Alser et al. 2020 | single-net-routing greedy, exact lower bound |
 //!
+//! Every batch path decides through [`decide`]: one dispatch from a
+//! [`FilterKind`] to its lane-parallel block kernel, fanned out over the
+//! worker pool in 256-pair blocks.
+//!
 //! The [`accuracy`] module evaluates any filter against the Edlib-equivalent ground
 //! truth from `gk-align`, producing the false-accept / false-reject / true-reject
 //! counts reported in Figure 4, Figure 5 and Supplementary Tables S.2–S.12.
@@ -28,6 +32,7 @@
 
 pub mod accuracy;
 pub mod bitvec;
+pub mod dispatch;
 pub mod gatekeeper;
 pub mod magnet;
 pub mod shouji;
@@ -38,21 +43,22 @@ pub mod words;
 
 pub use accuracy::{evaluate_filter, evaluate_with_truth, ground_truth_distances, AccuracyReport};
 pub use bitvec::BaseMask;
+pub use dispatch::{decide, FilterKind, PairView};
 pub use gatekeeper::{
     gatekeeper_kernel, gatekeeper_kernel_reference, EditCounting, GateKeeperConfig,
     GateKeeperFpgaFilter, GateKeeperGpuFilter, ShdFilter,
 };
 pub use magnet::{
-    magnet_filter_block, magnet_filter_block_slices, magnet_kernel_x4, magnet_pair_decision,
+    magnet_filter_block_slices, magnet_kernel_x4, magnet_pair_decision,
     magnet_pair_decision_reference, MagnetFilter,
 };
 pub use shouji::{
-    shouji_filter_block, shouji_filter_block_slices, shouji_kernel_x4, shouji_pair_decision,
+    shouji_filter_block_slices, shouji_kernel_x4, shouji_pair_decision,
     shouji_pair_decision_reference, ShoujiFilter,
 };
 pub use simd::{
-    gatekeeper_filter_block, gatekeeper_filter_block_packed, gatekeeper_filter_block_slices,
-    gatekeeper_kernel_x4, LaneMask, SimdMode, SIMD_MODE_ENV,
+    gatekeeper_filter_block, gatekeeper_filter_block_slices, gatekeeper_kernel_x4, LaneMask,
+    SimdMode, SIMD_MODE_ENV,
 };
 pub use sneaky_snake::{
     sneaky_snake_filter_block, sneaky_snake_filter_block_slices, sneaky_snake_kernel_x4,

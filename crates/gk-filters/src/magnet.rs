@@ -20,9 +20,10 @@
 //! reproduces.
 
 use crate::bitvec::{zero_runs_in_words, BaseMask};
+use crate::dispatch::{decide, FilterKind};
 use crate::simd::{
     build_mask_rows, filter_block_slices_with, lane_alphabet, lane_words, set_range_rows, shl_rows,
-    shr_rows, LaneMask, LaneRow, SimdMode, LANE_BLOCK_PAIRS, WORD_BITS,
+    shr_rows, LaneMask, LaneRow, SimdMode, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use crate::words::{
@@ -30,7 +31,6 @@ use crate::words::{
 };
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
 use gk_seq::PackedSeq;
-use rayon::prelude::*;
 use std::collections::BinaryHeap;
 
 /// The MAGNET pre-alignment filter.
@@ -531,19 +531,6 @@ pub fn magnet_filter_block_slices(
     )
 }
 
-/// [`magnet_filter_block_slices`] over owned [`SequencePair`]s.
-pub fn magnet_filter_block(
-    pairs: &[SequencePair],
-    threshold: u32,
-    mode: SimdMode,
-) -> Vec<FilterDecision> {
-    let slices: Vec<(&[u8], &[u8])> = pairs
-        .iter()
-        .map(|p| (p.read.as_slice(), p.reference.as_slice()))
-        .collect();
-    magnet_filter_block_slices(&slices, threshold, mode)
-}
-
 impl PreAlignmentFilter for MagnetFilter {
     fn name(&self) -> &str {
         "MAGNET"
@@ -558,10 +545,7 @@ impl PreAlignmentFilter for MagnetFilter {
     }
 
     fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_chunks(LANE_BLOCK_PAIRS)
-            .flat_map(|block| magnet_filter_block(block, self.threshold, self.simd))
-            .collect()
+        decide(FilterKind::Magnet, self.threshold, pairs, self.simd)
     }
 }
 

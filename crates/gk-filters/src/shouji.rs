@@ -15,14 +15,14 @@
 //! SneakySnake.
 
 use crate::bitvec::BaseMask;
+use crate::dispatch::{decide, FilterKind};
 use crate::simd::{
     build_mask_rows, canonical_acgt, filter_block_slices_with, set_range_rows, shl_rows, shr_rows,
-    LaneRow, SimdMode, LANE_BLOCK_PAIRS, WORD_BITS,
+    LaneRow, SimdMode, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use crate::words::{nibble_min, nibble_popcounts, sum_nibbles};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
-use rayon::prelude::*;
 
 /// Width of the sliding search window, as in the Shouji paper.
 const WINDOW: usize = 4;
@@ -283,19 +283,6 @@ pub fn shouji_filter_block_slices(
     )
 }
 
-/// [`shouji_filter_block_slices`] over owned [`SequencePair`]s.
-pub fn shouji_filter_block(
-    pairs: &[SequencePair],
-    threshold: u32,
-    mode: SimdMode,
-) -> Vec<FilterDecision> {
-    let slices: Vec<(&[u8], &[u8])> = pairs
-        .iter()
-        .map(|p| (p.read.as_slice(), p.reference.as_slice()))
-        .collect();
-    shouji_filter_block_slices(&slices, threshold, mode)
-}
-
 impl PreAlignmentFilter for ShoujiFilter {
     fn name(&self) -> &str {
         "Shouji"
@@ -310,10 +297,7 @@ impl PreAlignmentFilter for ShoujiFilter {
     }
 
     fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_chunks(LANE_BLOCK_PAIRS)
-            .flat_map(|block| shouji_filter_block(block, self.threshold, self.simd))
-            .collect()
+        decide(FilterKind::Shouji, self.threshold, pairs, self.simd)
     }
 }
 

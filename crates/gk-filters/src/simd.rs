@@ -131,12 +131,6 @@ pub(crate) type LaneRow = [u64; SOA_LANES];
 pub(crate) const WORD_BITS: usize = 64;
 const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
-/// Pairs handed to one lane-parallel block task by the filters'
-/// `filter_batch` overrides: large enough to amortise the struct-of-arrays
-/// transpose, small enough to keep the work-stealing queue full (mirrors the
-/// `GateKeeperCpu` block size).
-pub(crate) const LANE_BLOCK_PAIRS: usize = 256;
-
 /// Per-lane active mask for divergent lane-parallel loops.
 ///
 /// GateKeeper's mask algebra is uniform across lanes, but MAGNET's extraction
@@ -469,8 +463,8 @@ pub fn gatekeeper_kernel_x4(
     out
 }
 
-/// Decision for one pair outside the lane path, matching the undefined-pair
-/// semantics of `GateKeeperCpu` / the device kernels exactly.
+/// Decision for one pair outside the lane path, with the exact undefined-pass
+/// semantics of the per-pair filters.
 fn scalar_pair_decision(
     read: &[u8],
     reference: &[u8],
@@ -611,78 +605,6 @@ pub fn gatekeeper_filter_block(
         .map(|p| (p.read.as_slice(), p.reference.as_slice()))
         .collect();
     gatekeeper_filter_block_slices(&slices, config, mode)
-}
-
-/// Filters a block of already-encoded pairs, lane-parallel where possible —
-/// the device-side counterpart of [`gatekeeper_filter_block_slices`] used by
-/// the simulated GPU's encoded chunk path. Fallback pairs run the
-/// word-at-a-time kernel directly on the packed words (no re-encoding).
-pub fn gatekeeper_filter_block_packed(
-    pairs: &[(&PackedSeq, &PackedSeq)],
-    config: &GateKeeperConfig,
-    mode: SimdMode,
-) -> Vec<FilterDecision> {
-    let packed_decision = |read: &PackedSeq, reference: &PackedSeq, use_reference: bool| {
-        if config.pass_undefined && (read.is_undefined() || reference.is_undefined()) {
-            return FilterDecision::undefined_pass();
-        }
-        if use_reference {
-            gatekeeper_kernel_reference(read, reference, config)
-        } else {
-            gatekeeper_kernel(read, reference, config)
-        }
-    };
-
-    if !mode.use_lanes() {
-        return pairs
-            .iter()
-            .map(|(read, reference)| packed_decision(read, reference, true))
-            .collect();
-    }
-
-    let mut decisions = vec![FilterDecision::accept(0); pairs.len()];
-    let mut eligible: Vec<usize> = Vec::with_capacity(pairs.len());
-    for (i, (read, reference)) in pairs.iter().enumerate() {
-        let lane_ok = !read.is_empty()
-            && read.len() == reference.len()
-            && !read.is_undefined()
-            && !reference.is_undefined();
-        if lane_ok {
-            eligible.push(i);
-        } else {
-            decisions[i] = packed_decision(read, reference, false);
-        }
-    }
-
-    let mut start = 0;
-    while start < eligible.len() {
-        let len0 = pairs[eligible[start]].0.len();
-        let mut end = start + 1;
-        while end < eligible.len()
-            && end - start < SOA_LANES
-            && pairs[eligible[end]].0.len() == len0
-        {
-            end += 1;
-        }
-        let members: Vec<(&PackedSeq, &PackedSeq)> =
-            eligible[start..end].iter().map(|&i| pairs[i]).collect();
-        match SoaGroup::from_packed(&members) {
-            Some(group) => {
-                let lane_decisions = gatekeeper_kernel_x4(&group, config);
-                for (lane, &i) in eligible[start..end].iter().enumerate() {
-                    decisions[i] = lane_decisions[lane];
-                }
-            }
-            None => {
-                for &i in &eligible[start..end] {
-                    let (read, reference) = pairs[i];
-                    decisions[i] = packed_decision(read, reference, false);
-                }
-            }
-        }
-        start = end;
-    }
-    decisions
 }
 
 #[cfg(test)]
@@ -888,37 +810,6 @@ mod tests {
         assert_eq!(lanes, expected);
         let scalar = gatekeeper_filter_block_slices(&slices, &config, SimdMode::Scalar);
         assert_eq!(scalar, expected);
-    }
-
-    #[test]
-    fn packed_block_driver_matches_ascii_block_driver() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let config = GateKeeperConfig::gpu(3);
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
-            .map(|i| {
-                let reference = random_seq(80, &mut rng);
-                let mut read = mutated(&reference, rng.gen_range(0..6), &mut rng);
-                if i % 9 == 0 {
-                    read[40] = b'N';
-                }
-                (read, reference)
-            })
-            .collect();
-        let packed: Vec<(PackedSeq, PackedSeq)> = pairs
-            .iter()
-            .map(|(r, s)| (PackedSeq::from_ascii(r), PackedSeq::from_ascii(s)))
-            .collect();
-        let packed_refs: Vec<(&PackedSeq, &PackedSeq)> =
-            packed.iter().map(|(r, s)| (r, s)).collect();
-        let slices: Vec<(&[u8], &[u8])> = pairs
-            .iter()
-            .map(|(r, s)| (r.as_slice(), s.as_slice()))
-            .collect();
-        for mode in [SimdMode::Lanes, SimdMode::Scalar] {
-            let from_ascii = gatekeeper_filter_block_slices(&slices, &config, mode);
-            let from_packed = gatekeeper_filter_block_packed(&packed_refs, &config, mode);
-            assert_eq!(from_ascii, from_packed, "mode = {mode}");
-        }
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! false accepts of all the filters compared in the paper.
 
 use crate::bitvec::{zero_run_length_in_words_reference, BaseMask};
+use crate::dispatch::{decide, FilterKind};
 use crate::simd::{
     build_mask_rows, canonical_acgt, filter_block_slices_with, set_range_rows, shl_rows, shr_rows,
-    LaneMask, LaneRow, SimdMode, LANE_BLOCK_PAIRS, WORD_BITS,
+    LaneMask, LaneRow, SimdMode, WORD_BITS,
 };
 use crate::traits::{FilterDecision, PreAlignmentFilter};
 use gk_seq::pairs::{SequencePair, SoaGroup, SOA_LANES};
-use rayon::prelude::*;
 
 /// The SneakySnake pre-alignment filter.
 #[derive(Debug, Clone)]
@@ -338,10 +338,7 @@ impl PreAlignmentFilter for SneakySnakeFilter {
     }
 
     fn filter_batch(&self, pairs: &[SequencePair]) -> Vec<FilterDecision> {
-        pairs
-            .par_chunks(LANE_BLOCK_PAIRS)
-            .flat_map(|block| sneaky_snake_filter_block(block, self.threshold, self.simd))
-            .collect()
+        decide(FilterKind::SneakySnake, self.threshold, pairs, self.simd)
     }
 }
 

@@ -568,73 +568,6 @@ proptest! {
             prop_assert_eq!(lanes, scalar, "e = {}", e);
         }
     }
-
-    /// Both struct-of-arrays encode paths — straight from ASCII and transposed
-    /// from packed `u32` words — lay every base out at the same LSB-first lane
-    /// position, each under its own 2-bit coding (the codings differ on G/T,
-    /// which XOR cannot see), with clean zeros beyond `len` and in the spare row.
-    #[test]
-    fn soa_encode_paths_lay_out_every_base_identically(
-        pairs in proptest::collection::vec((dna(96), dna(96)), 1..=4),
-        len in 1usize..=96,
-    ) {
-        let cut: Vec<(Vec<u8>, Vec<u8>)> = pairs
-            .iter()
-            .map(|(r, f)| (r[..len].to_vec(), f[..len].to_vec()))
-            .collect();
-        let slices: Vec<(&[u8], &[u8])> = cut
-            .iter()
-            .map(|(r, f)| (r.as_slice(), f.as_slice()))
-            .collect();
-        let from_ascii = SoaGroup::encode_slices(&slices).expect("eligible group");
-        let packed: Vec<(PackedSeq, PackedSeq)> = cut
-            .iter()
-            .map(|(r, f)| (PackedSeq::from_ascii(r), PackedSeq::from_ascii(f)))
-            .collect();
-        let refs: Vec<(&PackedSeq, &PackedSeq)> = packed.iter().map(|(r, f)| (r, f)).collect();
-        let from_packed = SoaGroup::from_packed(&refs).expect("eligible group");
-
-        prop_assert_eq!(from_ascii.len, len);
-        prop_assert_eq!(from_packed.len, len);
-        prop_assert_eq!(from_ascii.lanes, cut.len());
-        prop_assert_eq!(from_packed.lanes, cut.len());
-
-        let code_at = |rows: &[[u64; 4]], lane: usize, i: usize| -> u64 {
-            (rows[i / 32][lane] >> (2 * (i % 32))) & 3
-        };
-        for (lane, (read, reference)) in cut.iter().enumerate() {
-            for i in 0..len {
-                // ASCII fast path: (byte >> 1) & 3.
-                prop_assert_eq!(
-                    code_at(&from_ascii.read_words, lane, i),
-                    u64::from((read[i] >> 1) & 3)
-                );
-                prop_assert_eq!(
-                    code_at(&from_ascii.ref_words, lane, i),
-                    u64::from((reference[i] >> 1) & 3)
-                );
-                // Packed path: the paper's A=00, C=01, G=10, T=11 coding.
-                prop_assert_eq!(
-                    code_at(&from_packed.read_words, lane, i),
-                    u64::from(gk_seq::Base::from_ascii(read[i]).code().unwrap())
-                );
-                prop_assert_eq!(
-                    code_at(&from_packed.ref_words, lane, i),
-                    u64::from(gk_seq::Base::from_ascii(reference[i]).code().unwrap())
-                );
-            }
-        }
-        // Bases past `len` and the spare row must be zero in both layouts.
-        for group in [&from_ascii, &from_packed] {
-            for rows in [&group.read_words, &group.ref_words] {
-                for lane in 0..group.lanes {
-                    for i in len..rows.len() * 32 {
-                        prop_assert_eq!(code_at(rows, lane, i), 0u64, "dirt at base {}", i);
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

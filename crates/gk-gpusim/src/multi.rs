@@ -1,10 +1,9 @@
-//! Multi-GPU contexts: batch splitting and aggregate timing across devices.
+//! Multi-GPU contexts: the device list a multi-GPU run spreads over.
 //!
 //! Setup 1 of the paper has eight GTX 1080 Ti boards; "In the multi-GPU model, the
-//! batch size is equal for all devices to ensure a fair workload" (§3.1) and "in
-//! multi-GPU throughput analysis, kernel time represents the time of the device,
-//! which takes the longest time to complete among all other active devices" (§4.3).
-//! [`MultiGpu`] reproduces both conventions.
+//! batch size is equal for all devices to ensure a fair workload" (§3.1). The
+//! sharding itself lives with the scheduler in `gk-core` (round-robin chunks, or
+//! [`crate::topology::weighted_partition`] spans when topology-aware).
 
 use crate::device::DeviceSpec;
 use serde::{Deserialize, Serialize};
@@ -42,109 +41,11 @@ impl MultiGpu {
     pub fn devices(&self) -> &[DeviceSpec] {
         &self.devices
     }
-
-    /// Splits `total_items` work items into equal per-device shares; when the
-    /// count does not divide evenly, the first `total_items % devices` devices
-    /// each absorb one extra item. Returns half-open `[start, end)` ranges per
-    /// device.
-    pub fn split_work(&self, total_items: usize) -> Vec<(usize, usize)> {
-        let n = self.devices.len();
-        let base = total_items / n;
-        let remainder = total_items % n;
-        let mut ranges = Vec::with_capacity(n);
-        let mut start = 0usize;
-        for i in 0..n {
-            let extra = usize::from(i < remainder);
-            let end = start + base + extra;
-            ranges.push((start, end.min(total_items)));
-            start = end;
-        }
-        ranges
-    }
-
-    /// Splits `total_items` into contiguous per-device shares proportional to
-    /// `weights` (largest-remainder rounding; see
-    /// [`crate::topology::weighted_partition`]). Equal weights reproduce
-    /// [`MultiGpu::split_work`]'s front-loaded equal split. The topology-aware
-    /// sharder feeds each device's effective link bandwidth in here.
-    pub fn split_work_weighted(&self, total_items: usize, weights: &[f64]) -> Vec<(usize, usize)> {
-        assert_eq!(
-            weights.len(),
-            self.devices.len(),
-            "one weight per device required"
-        );
-        crate::topology::weighted_partition(total_items, weights)
-    }
-
-    /// Multi-GPU kernel time: the slowest device defines the reported time (§4.3).
-    pub fn combined_kernel_seconds(per_device_seconds: &[f64]) -> f64 {
-        per_device_seconds.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_covers_everything_without_overlap() {
-        let ctx = MultiGpu::homogeneous(DeviceSpec::gtx_1080_ti(), 8);
-        let ranges = ctx.split_work(30_000_000);
-        assert_eq!(ranges.len(), 8);
-        assert_eq!(ranges[0].0, 0);
-        assert_eq!(ranges.last().unwrap().1, 30_000_000);
-        for pair in ranges.windows(2) {
-            assert_eq!(pair[0].1, pair[1].0);
-        }
-        let total: usize = ranges.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(total, 30_000_000);
-    }
-
-    #[test]
-    fn split_is_balanced_within_one_item() {
-        let ctx = MultiGpu::homogeneous(DeviceSpec::gtx_1080_ti(), 3);
-        let ranges = ctx.split_work(10);
-        let sizes: Vec<usize> = ranges.iter().map(|(s, e)| e - s).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn split_with_fewer_items_than_devices() {
-        let ctx = MultiGpu::homogeneous(DeviceSpec::gtx_1080_ti(), 4);
-        let ranges = ctx.split_work(2);
-        let total: usize = ranges.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(total, 2);
-        assert!(ranges.iter().all(|(s, e)| e >= s));
-    }
-
-    #[test]
-    fn split_front_loads_the_remainder() {
-        // The doc promises the *first* `remainder` devices absorb the extras.
-        let ctx = MultiGpu::homogeneous(DeviceSpec::gtx_1080_ti(), 4);
-        let ranges = ctx.split_work(10);
-        let sizes: Vec<usize> = ranges.iter().map(|(s, e)| e - s).collect();
-        assert_eq!(sizes, vec![3, 3, 2, 2]);
-    }
-
-    #[test]
-    fn weighted_split_follows_the_weights_and_equal_weights_match_split_work() {
-        let ctx = MultiGpu::homogeneous(DeviceSpec::gtx_1080_ti(), 4);
-        let ranges = ctx.split_work_weighted(100, &[3.0, 1.0, 1.0, 1.0]);
-        assert_eq!(ranges[0], (0, 50));
-        assert_eq!(ranges.last().unwrap().1, 100);
-        assert_eq!(
-            ctx.split_work_weighted(10, &[1.0; 4]),
-            ctx.split_work(10),
-            "equal weights must reproduce the front-loaded equal split"
-        );
-    }
-
-    #[test]
-    fn combined_kernel_time_is_the_slowest_device() {
-        assert_eq!(MultiGpu::combined_kernel_seconds(&[0.2, 0.5, 0.3]), 0.5);
-        assert_eq!(MultiGpu::combined_kernel_seconds(&[]), 0.0);
-    }
 
     #[test]
     fn heterogeneous_contexts_keep_device_order() {

@@ -283,8 +283,8 @@ impl Topology {
 /// `weights`, by largest remainder: every weight gets `floor(total·wᵢ/Σw)`
 /// items, and the leftovers go one each to the largest fractional parts
 /// (ties to the lower index). Non-finite or negative weights count as zero;
-/// an all-zero weight vector degrades to the equal front-loaded split of
-/// [`MultiGpu::split_work`](crate::multi::MultiGpu::split_work).
+/// an all-zero weight vector degrades to the equal front-loaded split (the
+/// first `total % n` ranges take one extra item).
 ///
 /// The result is always an exact partition of `0..total`: `n` half-open
 /// ranges, back-to-back, first starting at 0, last ending at `total`.

@@ -104,7 +104,7 @@ impl PreFilter {
                 (run.decisions, kernel, filter)
             }
             PreFilter::MultiGpu(multi) => {
-                let run = multi.filter_set(pairs);
+                let run = multi.filter_set(&pairs.pairs);
                 (run.decisions, run.kernel_seconds, run.filter_seconds)
             }
         }

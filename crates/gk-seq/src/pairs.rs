@@ -220,42 +220,6 @@ impl SoaGroup {
         true
     }
 
-    /// Transposes up to [`SOA_LANES`] already-packed pairs into the lane
-    /// layout, reversing each `u32`'s MSB-first 2-bit fields into the
-    /// LSB-first lane order. Eligibility mirrors [`SoaGroup::encode`]:
-    /// uniform nonzero length and no undefined sequences.
-    pub fn from_packed(pairs: &[(&PackedSeq, &PackedSeq)]) -> Option<SoaGroup> {
-        let lanes = pairs.len();
-        if lanes == 0 || lanes > SOA_LANES {
-            return None;
-        }
-        let len = pairs[0].0.len();
-        if len == 0 {
-            return None;
-        }
-        for (read, reference) in pairs {
-            if read.len() != len || reference.len() != len {
-                return None;
-            }
-            if read.is_undefined() || reference.is_undefined() {
-                return None;
-            }
-        }
-        let rows = len.div_ceil(SOA_BASES_PER_WORD) + 1;
-        let mut read_words = vec![[0u64; SOA_LANES]; rows];
-        let mut ref_words = vec![[0u64; SOA_LANES]; rows];
-        for (lane, (read, reference)) in pairs.iter().enumerate() {
-            pack_words_lane(read.words(), lane, &mut read_words);
-            pack_words_lane(reference.words(), lane, &mut ref_words);
-        }
-        Some(SoaGroup {
-            len,
-            lanes,
-            read_words,
-            ref_words,
-        })
-    }
-
     /// Number of meaningful (non-spare) 64-bit words per sequence.
     pub fn words_per_sequence(&self) -> usize {
         self.len.div_ceil(SOA_BASES_PER_WORD)
@@ -292,32 +256,10 @@ fn pack_ascii_lane(seq: &[u8], lane: usize, rows: &mut [[u64; SOA_LANES]]) {
     }
 }
 
-/// Packs one [`PackedSeq`] word array into lane `lane` of the SoA rows: each
-/// MSB-first `u32` (16 bases) has its 2-bit fields order-reversed, and two
-/// reversed `u32`s form one LSB-first `u64` row entry.
-fn pack_words_lane(words: &[u32], lane: usize, rows: &mut [[u64; SOA_LANES]]) {
-    for (w, &word) in words.iter().enumerate() {
-        let reversed = u64::from(reverse_base_fields(word));
-        rows[w / 2][lane] |= reversed << (32 * (w % 2));
-    }
-}
-
-/// Reverses the order of the sixteen 2-bit fields of a `u32` (base slot `s`
-/// moves from bit pair `(15 − s)·2` to bit pair `s·2`) without altering the
-/// bits inside each field.
-#[inline]
-fn reverse_base_fields(v: u32) -> u32 {
-    let v = ((v >> 2) & 0x3333_3333) | ((v & 0x3333_3333) << 2);
-    let v = ((v >> 4) & 0x0F0F_0F0F) | ((v & 0x0F0F_0F0F) << 4);
-    let v = ((v >> 8) & 0x00FF_00FF) | ((v & 0x00FF_00FF) << 8);
-    v.rotate_left(16)
-}
-
 /// Packs every pair into the 2-bit device representation, fanning the batch
-/// out across the thread pool. This is the host-side encoding stage shared by
-/// the GPU system (host-encoding actor, §3.3) and the multicore CPU baseline;
-/// output order matches input order exactly, so results are identical to a
-/// sequential `pairs.iter().map(|p| p.packed())` pass.
+/// out across the thread pool: the host-side encoding of the host-encoding
+/// actor (§3.3). Output order matches input order exactly, so results are
+/// identical to a sequential `pairs.iter().map(|p| p.packed())` pass.
 pub fn encode_pair_batch(pairs: &[SequencePair]) -> Vec<(PackedSeq, PackedSeq)> {
     use rayon::prelude::*;
     pairs.par_iter().map(|p| p.packed()).collect()

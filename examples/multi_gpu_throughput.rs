@@ -26,7 +26,7 @@ fn main() {
             devices,
             FilterConfig::new(100, threshold).with_encoding(EncodingActor::Host),
         );
-        let run = filter.filter_set(&pairs);
+        let run = filter.filter_set(&pairs.pairs);
         let kernel_mps = pairs.len() as f64 / run.kernel_seconds.max(1e-12) / 1e6;
         let filter_mps = pairs.len() as f64 / run.filter_seconds.max(1e-12) / 1e6;
         println!(

@@ -1,9 +1,8 @@
-//! Property suite for the device-side encoding execution path: for **any**
-//! dataset profile, chunk size, overlap/prefetch setting and error threshold
-//! (including the `e ≥ read_len` clamp region hardened in PR 4), the
-//! device-encode path (raw 1-byte-per-base uploads + fused encode+filter
-//! kernel) and the host-encode path (`encode_pair_batch` before the transfer)
-//! must produce **byte-identical decisions** — materialized, streamed, and
+//! Property suite for the two encoding actors: for **any** dataset profile,
+//! chunk size, overlap/prefetch setting and error threshold (including the
+//! `e ≥ read_len` clamp region), the device-encode actor (raw 1-byte-per-base
+//! uploads + fused encode+filter kernel) and the host-encode actor (2-bit
+//! encoding before the transfer) must produce **byte-identical decisions** — materialized, streamed, and
 //! through the read mapper's record pipeline. The timing *attribution* is the
 //! only thing allowed to differ: zero host encode time and a positive
 //! in-kernel encode share on the device path, the reverse on the host path.

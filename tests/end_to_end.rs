@@ -3,7 +3,8 @@
 //! verification — the paper's whole-genome workflow end to end.
 
 use gatekeeper_gpu::core::{
-    EncodingActor, FilterConfig, GateKeeperCpu, GateKeeperGpu, MultiGpuGateKeeper,
+    CpuSimdBackend, EncodingActor, FilterBackend, FilterConfig, FilterJob, FilterKind,
+    GateKeeperGpu, MultiGpuGateKeeper,
 };
 use gatekeeper_gpu::filters::{GateKeeperGpuFilter, PreAlignmentFilter, SneakySnakeFilter};
 use gatekeeper_gpu::gpusim::DeviceSpec;
@@ -53,14 +54,18 @@ fn gpu_cpu_and_host_filter_agree_on_every_decision() {
     let gpu_system = GateKeeperGpu::with_default_device(FilterConfig::new(100, threshold));
     let gpu_run = gpu_system.filter_set(&pairs);
 
-    let cpu_run = GateKeeperCpu::new(threshold, 2).filter_set(&pairs);
+    let cpu_decisions = CpuSimdBackend::new(2).run(&FilterJob::new(
+        FilterKind::GateKeeper,
+        threshold,
+        &pairs.pairs,
+    ));
 
     let host_filter = GateKeeperGpuFilter::new(threshold);
     for ((pair, gpu_decision), cpu_decision) in pairs
         .pairs
         .iter()
         .zip(gpu_run.decisions.iter())
-        .zip(cpu_run.decisions.iter())
+        .zip(cpu_decisions.iter())
     {
         let host_decision = host_filter.filter_pair(&pair.read, &pair.reference);
         assert_eq!(gpu_decision.accepted, host_decision.accepted);
@@ -73,8 +78,10 @@ fn multi_gpu_matches_single_gpu_decisions_and_improves_kernel_time() {
     let pairs = DatasetProfile::set3().generate(3_000, 77);
     let config = FilterConfig::new(100, 2).with_encoding(EncodingActor::Host);
 
-    let single = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 1, config).filter_set(&pairs);
-    let quad = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config).filter_set(&pairs);
+    let single =
+        MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 1, config).filter_set(&pairs.pairs);
+    let quad =
+        MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config).filter_set(&pairs.pairs);
 
     assert_eq!(single.decisions, quad.decisions);
     assert!(quad.kernel_seconds < single.kernel_seconds);

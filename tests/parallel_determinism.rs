@@ -6,32 +6,37 @@
 //! accuracy sweep, the simulated kernel launch, and mapper candidate
 //! construction + verification — must produce output **byte-identical** to the
 //! sequential fallback. Each test runs the parallel version on the global pool
-//! and the reference version inside a one-thread pool (the shim's sequential
-//! fallback, the same mode `RAYON_NUM_THREADS=1` selects), across several
-//! seeded random batches.
+//! (or a 4-thread pool) and the reference version inside a one-thread pool (the
+//! shim's sequential fallback, the same mode `RAYON_NUM_THREADS=1` selects),
+//! across several seeded random batches.
 //!
 //! The pipeline suite at the bottom asserts the tentpole invariant of the
 //! stream-overlapped engine: turning overlap on or changing the chunk size may
 //! only change the *simulated timeline*, never a decision, a count, or a mapper
 //! record.
 
-use gatekeeper_gpu::core::cpu::GateKeeperCpu;
-use gatekeeper_gpu::core::{EncodingActor, FilterConfig, GateKeeperGpu};
+use gatekeeper_gpu::core::{
+    CpuSimdBackend, EncodingActor, FilterBackend, FilterConfig, FilterJob, FilterKind,
+    GateKeeperGpu,
+};
 use gatekeeper_gpu::filters::accuracy::{evaluate_filter, ground_truth_distances, UndefinedPolicy};
 use gatekeeper_gpu::filters::{
-    GateKeeperGpuFilter, PreAlignmentFilter, ShdFilter, SneakySnakeFilter,
+    decision_digest, GateKeeperGpuFilter, PreAlignmentFilter, ShdFilter, SimdMode,
+    SneakySnakeFilter,
 };
 use gatekeeper_gpu::gpusim::device::DeviceSpec;
 use gatekeeper_gpu::gpusim::executor::{
     launch_kernel, KernelResources, LaunchConfig, ThreadReport,
 };
 use gatekeeper_gpu::mapper::pipeline::{MapperConfig, PreFilter, ReadMapper};
+use gatekeeper_gpu::seq::alphabet::has_undefined;
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
 use gatekeeper_gpu::seq::fastq::FastqRecord;
 use gatekeeper_gpu::seq::packed::encode_batch_parallel;
-use gatekeeper_gpu::seq::pairs::encode_pair_batch;
+use gatekeeper_gpu::seq::pairs::{encode_pair_batch, SequencePair};
 use gatekeeper_gpu::seq::simulate::{ErrorProfile, ReadSimulator};
 use gatekeeper_gpu::seq::{PackedSeq, ReferenceBuilder};
+use std::sync::Arc;
 
 const SEEDS: [u64; 3] = [11, 4242, 990_017];
 
@@ -64,19 +69,68 @@ fn batch_encoding_is_identical_to_sequential() {
     }
 }
 
+/// A Set 3 sample with undefined (`N`) pairs, plus ragged pairs: some reads
+/// one base short, some references one base long.
+fn mixed_pairs(seed: u64) -> Vec<SequencePair> {
+    let mut profile = DatasetProfile::set3();
+    profile.undefined_fraction = 0.05;
+    let mut pairs = profile.generate(900, seed).pairs;
+    for (i, pair) in pairs.iter_mut().enumerate() {
+        if i % 13 == 0 {
+            pair.read.pop();
+        }
+        if i % 17 == 0 {
+            pair.reference.push(b'A');
+        }
+    }
+    pairs
+}
+
 #[test]
 fn cpu_filter_baseline_is_identical_to_sequential() {
-    for seed in SEEDS {
-        let mut profile = DatasetProfile::set3();
-        profile.undefined_fraction = 0.05;
-        let pairs = profile.generate(2_000, seed);
-        for threshold in [0u32, 3, 7] {
-            let parallel = GateKeeperCpu::new(threshold, 4).filter_set(&pairs);
-            let one_thread = GateKeeperCpu::new(threshold, 1).filter_set(&pairs);
-            assert_eq!(
-                parallel.decisions, one_thread.decisions,
-                "seed {seed}, e = {threshold}"
+    // The multicore CPU baseline is `CpuSimdBackend`. One table covers every
+    // filter kind × pool size {1, 4} × SIMD mode {lanes, scalar}: each cell
+    // must reproduce the digest of the one-thread scalar reference, cover
+    // every pair in order, and (GateKeeper) pass undefined pairs through.
+    let backends: Vec<(usize, SimdMode, CpuSimdBackend)> = [1usize, 4]
+        .into_iter()
+        .flat_map(|threads| {
+            let pool = Arc::new(
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("backend pool"),
             );
+            [SimdMode::Scalar, SimdMode::Lanes].map(|mode| {
+                let backend = CpuSimdBackend::with_pool(Arc::clone(&pool)).with_simd_mode(mode);
+                (threads, mode, backend)
+            })
+        })
+        .collect();
+    for seed in SEEDS {
+        let pairs = mixed_pairs(seed);
+        let undefined = pairs
+            .iter()
+            .filter(|p| has_undefined(&p.read) || has_undefined(&p.reference))
+            .count();
+        assert!(undefined > 0, "seed {seed}: sample needs undefined pairs");
+        for kind in FilterKind::ALL {
+            for threshold in [0u32, 4] {
+                let job = FilterJob::new(kind, threshold, &pairs);
+                let mut reference = None;
+                for (threads, mode, backend) in &backends {
+                    let decisions = backend.run(&job);
+                    let cell = format!("{kind}, seed {seed}, e = {threshold}, {threads}t {mode}");
+                    assert_eq!(decisions.len(), pairs.len(), "{cell}");
+                    if kind == FilterKind::GateKeeper {
+                        let passed: Vec<_> = decisions.iter().filter(|d| d.undefined).collect();
+                        assert_eq!(passed.len(), undefined, "{cell}");
+                        assert!(passed.iter().all(|d| d.accepted), "{cell}");
+                    }
+                    let digest = decision_digest(&decisions);
+                    assert_eq!(*reference.get_or_insert(digest), digest, "{cell}");
+                }
+            }
         }
     }
 }
@@ -85,27 +139,13 @@ fn cpu_filter_baseline_is_identical_to_sequential() {
 fn simd_lanes_and_scalar_fallback_are_byte_identical_end_to_end() {
     // The SIMD tentpole's contract: the lane-parallel block path and the
     // per-bit scalar reference may differ only in throughput. Decisions must be
-    // byte-identical through every wired surface — the multicore CPU baseline
-    // at several thread counts, and the full simulated GPU system on both the
-    // host-encode and device-encode paths.
-    use gatekeeper_gpu::filters::SimdMode;
+    // byte-identical through the full simulated GPU system on both encoding
+    // actors (the CPU backend's table is above).
     for seed in SEEDS {
         let mut profile = DatasetProfile::set3();
         profile.undefined_fraction = 0.05;
         let pairs = profile.generate(1_200, seed);
         for threshold in [0u32, 4] {
-            let scalar = GateKeeperCpu::new(threshold, 1)
-                .with_simd_mode(SimdMode::Scalar)
-                .filter_set(&pairs);
-            for threads in [1usize, 4] {
-                let lanes = GateKeeperCpu::new(threshold, threads)
-                    .with_simd_mode(SimdMode::Lanes)
-                    .filter_set(&pairs);
-                assert_eq!(
-                    lanes.decisions, scalar.decisions,
-                    "seed {seed}, e = {threshold}, threads {threads}"
-                );
-            }
             for device_encode in [false, true] {
                 let base = FilterConfig::new(100, threshold)
                     .with_chunk_pairs(333)
@@ -134,7 +174,7 @@ fn widened_filters_are_digest_identical_across_modes_threads_and_env() {
     // throughput. Every (filter, mode, threads) combination must produce the
     // same FNV decision digest, and a `GK_SIMD=scalar` environment must steer
     // `Auto` construction onto the same decisions.
-    use gatekeeper_gpu::filters::{decision_digest, MagnetFilter, ShoujiFilter, SimdMode};
+    use gatekeeper_gpu::filters::{MagnetFilter, ShoujiFilter};
 
     type MakeFilter = Box<dyn Fn(SimdMode) -> Box<dyn PreAlignmentFilter>>;
     let make_filters = |e: u32| -> Vec<MakeFilter> {

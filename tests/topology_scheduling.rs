@@ -159,7 +159,7 @@ proptest! {
                 devices,
                 base.with_topology(kind).with_topology_aware(aware),
             )
-            .filter_set(&set)
+            .filter_set(&set.pairs)
         };
         let naive_private = run(TopologyKind::Independent, false);
         let naive_shared = run(TopologyKind::SharedRoot, false);
@@ -211,10 +211,10 @@ fn aware_strictly_beats_naive_on_eight_shared_root_gpus() {
     let base = FilterConfig::new(100, 2)
         .with_encoding(EncodingActor::Device)
         .with_topology(TopologyKind::SharedRoot);
-    let naive = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base).filter_set(&set);
+    let naive = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base).filter_set(&set.pairs);
     let aware =
         MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 8, base.with_topology_aware(true))
-            .filter_set(&set);
+            .filter_set(&set.pairs);
     assert_eq!(naive.decisions, aware.decisions);
     assert!(
         aware.interconnect.makespan_seconds() < naive.interconnect.makespan_seconds(),
