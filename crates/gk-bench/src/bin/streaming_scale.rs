@@ -2,29 +2,24 @@
 //! the triple-buffered GPU batch pipeline without ever materializing the pair
 //! set (§3.4 multi-stream prefetch exploited end to end).
 //!
-//! The default run streams 1 million pairs **twice** — once with the real
-//! host-side prefetch (encode of chunk *i+1* on the worker pool while chunk
-//! *i*'s kernel closure runs; on pools with ≥ 3 workers the next source batch
-//! is also generated ahead on the pool) and once with the serial host path —
-//! and reports the measured host wall-clock of both next to the simulated
-//! timeline, verifying along the way that the decisions are byte-identical.
+//! The default run streams 1 million host-encoded pairs in one measured pass
+//! (after a shorter warm-up pass) and reports the measured host wall-clock
+//! next to the simulated timeline.
 //!
-//! `--device-encode` switches the comparison axis to the **encoding actor**:
-//! one pass on the device-side encoding path (raw 1-byte-per-base uploads,
-//! fused encode+filter kernel, zero host encode time) and one on the host
-//! path, same seeded stream, asserting digest-identical decisions and a
-//! strictly lower host-side encode share for the device pass. This mode also
-//! emits a Markdown comparison table between `<!-- encode-modes:begin/end -->`
+//! `--device-encode` compares the two **encoding actors**: one pass on the
+//! device-side encoding path (raw 1-byte-per-base uploads, fused
+//! encode+filter kernel, zero host encode time) and one on the host path,
+//! same seeded stream, asserting digest-identical decisions and a strictly
+//! lower host-side encode share for the device pass. This mode also emits a
+//! Markdown comparison table between `<!-- encode-modes:begin/end -->`
 //! markers so CI can lift it straight into the job summary.
 //!
-//! `--full` uses the paper's 30 million pairs in a single pass;
-//! `--host-serial` forces a single pass on the serial host path (no pool
-//! prefetch work is spawned at all). Memory stays bounded by the source batch
-//! size plus the bounded number of encoded chunks in flight regardless of
-//! `--pairs`.
+//! `--full` uses the paper's 30 million pairs in a single pass with no
+//! warm-up. Memory stays bounded by one source batch plus one gathered chunk
+//! regardless of `--pairs`.
 //!
 //! Usage: `cargo run --release -p gk-bench --bin streaming_scale
-//!         [--pairs N] [--full] [--chunk N] [--serialized] [--host-serial]
+//!         [--pairs N] [--full] [--chunk N] [--serialized]
 //!         [--device-encode] [--help]`
 
 use gk_bench::datasets::PAPER_SET_SIZE;
@@ -74,7 +69,6 @@ struct RunSpec {
     threshold: u32,
     overlap: bool,
     chunk: usize,
-    host_prefetch: bool,
     encoding: EncodingActor,
 }
 
@@ -89,7 +83,6 @@ fn measure(profile: &DatasetProfile, spec: &RunSpec) -> MeasuredRun {
         spec.encoding,
         spec.overlap,
         spec.chunk,
-        spec.host_prefetch,
         |_, decisions| digest.update(decisions),
     );
     MeasuredRun {
@@ -110,7 +103,6 @@ fn print_run(label: &str, measured: &MeasuredRun) {
         "kernel launches (chunks): {} of {} pairs (resolved pipeline chunk)",
         run.batches, run.pipeline.chunk_pairs
     );
-    println!("host prefetch active    : {}", run.pipeline.host_prefetch);
     println!(
         "encoding actor          : {}",
         if run.pipeline.device_encode {
@@ -164,7 +156,7 @@ fn print_run(label: &str, measured: &MeasuredRun) {
         run.memory_stats.bytes_to_host as f64 / (1024.0 * 1024.0)
     );
     println!(
-        "measured host wall-clock: {} s (functional simulation; resident set bounded by one source\n                          batch plus the in-flight prepped chunks)",
+        "measured host wall-clock: {} s (functional simulation; resident set bounded by one source\n                          batch plus the chunk being gathered)",
         fmt(measured.wall_seconds, 1)
     );
     println!();
@@ -268,88 +260,38 @@ fn main() {
         rayon::current_num_threads()
     );
 
-    // --full and --host-serial are single passes (--host-serial must not spawn
-    // any pool prefetch work); otherwise the run compares two modes over the
-    // same seeded stream: encode device-vs-host with --device-encode, host
-    // prefetch on-vs-off without it.
-    let compare_modes = !args.full && !args.host_serial;
-    let primary_prefetch = !args.host_serial;
-    let spec = |encoding: EncodingActor, host_prefetch: bool, pairs: usize| RunSpec {
+    // --full is a single pass; otherwise a short warm-up pass absorbs the
+    // first-touch costs (worker spawn-up, allocator warm-up) before the
+    // measured run, and --device-encode adds a host-encode pass over the same
+    // seeded stream for the encode-mode comparison.
+    let spec = |encoding: EncodingActor, pairs: usize| RunSpec {
         pairs,
         seed,
         source_batch,
         threshold,
         overlap: !args.serialized,
         chunk,
-        host_prefetch,
         encoding,
     };
 
-    if compare_modes {
-        // Throwaway warmup so neither measured run pays first-touch costs
-        // (worker spawn-up, allocator warm-up) — the comparison would
-        // otherwise be biased against whichever mode runs first.
-        let _ = measure(
-            &profile,
-            &spec(primary_encoding, primary_prefetch, pairs.min(250_000)),
-        );
+    if !args.full {
+        let _ = measure(&profile, &spec(primary_encoding, pairs.min(250_000)));
     }
 
-    let primary = measure(&profile, &spec(primary_encoding, primary_prefetch, pairs));
+    let primary = measure(&profile, &spec(primary_encoding, pairs));
     print_run(
-        match (args.device_encode, primary_prefetch) {
-            (true, _) => "device encode (raw upload, fused encode+filter kernel)",
-            (false, true) => "host prefetch ON (encode of chunk i+1 overlaps chunk i's kernel)",
-            (false, false) => "host prefetch OFF (serial host compute)",
+        if args.device_encode {
+            "device encode (raw upload, fused encode+filter kernel)"
+        } else {
+            "host encode (2-bit encode before the transfer)"
         },
         &primary,
     );
 
-    if compare_modes && args.device_encode {
-        let host = measure(
-            &profile,
-            &spec(EncodingActor::Host, primary_prefetch, pairs),
-        );
+    if !args.full && args.device_encode {
+        let host = measure(&profile, &spec(EncodingActor::Host, pairs));
         print_run("host encode (2-bit encode before the transfer)", &host);
         compare_encode_modes(&primary, &host, pairs, threshold);
-    } else if compare_modes {
-        let secondary = measure(&profile, &spec(primary_encoding, !primary_prefetch, pairs));
-        print_run(
-            if primary_prefetch {
-                "host prefetch OFF (serial host compute)"
-            } else {
-                "host prefetch ON (encode of chunk i+1 overlaps chunk i's kernel)"
-            },
-            &secondary,
-        );
-
-        let (on, off) = if primary_prefetch {
-            (&primary, &secondary)
-        } else {
-            (&secondary, &primary)
-        };
-        assert_eq!(
-            on.digest, off.digest,
-            "decision streams diverged between host modes — prefetch bug"
-        );
-        assert_eq!(on.run.accepted, off.run.accepted);
-        assert_eq!(on.run.undefined, off.run.undefined);
-        println!("=== host prefetch on vs. off ===");
-        println!(
-            "decisions               : byte-identical (digest {:#018x})",
-            on.digest
-        );
-        println!(
-            "measured host wall-clock: {} s (on) vs {} s (off) — {}x",
-            fmt(on.wall_seconds, 1),
-            fmt(off.wall_seconds, 1),
-            fmt(off.wall_seconds / on.wall_seconds.max(1e-9), 2)
-        );
-        println!(
-            "simulated filter time   : identical either way ({} s)",
-            fmt(on.run.filter_seconds(), 4)
-        );
-        println!();
     }
 
     if args.device_encode {
@@ -359,11 +301,6 @@ fn main() {
     } else {
         println!("Expected shape (paper, §3.4): prefetching the next batch on separate streams while the");
         println!("kernel runs hides most of the transfer, so the overlapped filter time beats the serialized");
-        println!(
-            "sum on every multi-chunk run; the host-side prefetch makes the same trick real on the"
-        );
-        println!(
-            "host, shrinking measured wall-clock on multi-core machines with identical decisions."
-        );
+        println!("sum on every multi-chunk run; decisions are byte-identical either way.");
     }
 }

@@ -64,15 +64,6 @@ pub struct FilterConfig {
     /// capacity when serialized, a third of it when overlapping so the three
     /// in-flight buffer slots fit the same memory budget).
     pub chunk_pairs: usize,
-    /// Dispatch the prep+encode of the *next* pipeline chunk as a task on the
-    /// shared worker pool while the current chunk's kernel closure executes —
-    /// real wall-clock overlap on the host, the measured counterpart of the
-    /// simulated §3.4 stream overlap. At most `BUFFER_SLOTS − 1` encoded
-    /// chunks are kept in flight so memory stays bounded. Decisions and the
-    /// simulated timing splits are byte-identical either way; only
-    /// `TimingBreakdown::host_wall_seconds` changes. Falls back to the serial
-    /// path when the pool is sequential (`RAYON_NUM_THREADS=1`).
-    pub host_prefetch: bool,
     /// SIMD lane selection for the filter kernels: the 4-lane struct-of-arrays
     /// path, the per-bit scalar reference, or `Auto` (the default), which
     /// consults the `GK_SIMD` environment variable. Decisions are
@@ -104,7 +95,6 @@ impl FilterConfig {
             max_reads_per_batch: 100_000,
             overlap: false,
             chunk_pairs: 0,
-            host_prefetch: false,
             simd: SimdMode::Auto,
             topology: TopologyKind::Independent,
             topology_aware: false,
@@ -154,13 +144,6 @@ impl FilterConfig {
     /// Sets an explicit pipeline chunk size in pairs (`0` restores auto-sizing).
     pub fn with_chunk_pairs(mut self, chunk_pairs: usize) -> FilterConfig {
         self.chunk_pairs = chunk_pairs;
-        self
-    }
-
-    /// Enables or disables real host-side prefetch: encoding the next chunk on
-    /// the worker pool while the current chunk's kernel closure runs.
-    pub fn with_host_prefetch(mut self, host_prefetch: bool) -> FilterConfig {
-        self.host_prefetch = host_prefetch;
         self
     }
 
@@ -281,12 +264,6 @@ mod tests {
         let defaults = FilterConfig::new(100, 4);
         assert!(!defaults.overlap);
         assert_eq!(defaults.chunk_pairs, 0);
-        assert!(!defaults.host_prefetch);
-        assert!(
-            FilterConfig::new(100, 4)
-                .with_host_prefetch(true)
-                .host_prefetch
-        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!
 //! Where the 2-bit packing happens never changes a decision (§3.4); the root
 //! `encode_mode_equivalence` suite proptests that for every chunk size,
-//! overlap setting, prefetch setting and device count.
+//! overlap setting and device count.
 //!
 //! Execution is organised as the chunked three-stage pipeline of
 //! [`crate::pipeline`]: every run — [`GateKeeperGpu::filter_set`] over a
@@ -42,12 +42,14 @@
 //! — feeds plan-sized chunks through encode+H2D, kernel, and D2H read-back
 //! stages. With [`FilterConfig::overlap`] on, the stages of adjacent chunks
 //! overlap on separate simulated streams (§3.4) and the reported filter time is
-//! the pipeline makespan; decisions are byte-identical either way.
+//! the pipeline makespan; decisions are byte-identical either way. On the host
+//! the chunks run one after another: each is gathered, decided (its 256-pair
+//! blocks fanned across the worker pool by [`gk_filters::decide`]), recorded
+//! and handed to the sink before the next is gathered.
 
 use crate::config::{EncodingActor, FilterConfig, SystemConfig};
 use crate::pipeline::{
     ChunkPlan, ChunkStageSeconds, PipelineReport, PipelineSchedule, StreamFilterRun,
-    PREFETCH_IN_FLIGHT,
 };
 use crate::timing::TimingBreakdown;
 use gk_filters::gatekeeper::{gatekeeper_kernel, GateKeeperConfig};
@@ -65,7 +67,6 @@ use gk_seq::pairs::{PairSet, SequencePair};
 use gk_seq::raw::{RawPairBatch, RawPairSlice};
 use gk_seq::PackedSeq;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Host-side buffer preparation cost per pair (gathering reads and candidate
@@ -378,7 +379,6 @@ impl GateKeeperGpu {
             decisions.extend(chunk_decisions)
         };
         engine.feed(&pairs.pairs, &mut sink);
-        engine.flush(&mut sink);
         engine.into_run(decisions)
     }
 
@@ -396,7 +396,6 @@ impl GateKeeperGpu {
         for chunk in chunks {
             engine.feed(chunk, &mut sink);
         }
-        engine.flush(&mut sink);
         engine.into_run(decisions)
     }
 
@@ -430,9 +429,8 @@ impl GateKeeperGpu {
             sink(chunk, &chunk_decisions);
         };
         for batch in batches {
-            engine.feed_owned(batch, &mut counting_sink);
+            engine.feed(&batch, &mut counting_sink);
         }
-        engine.flush(&mut counting_sink);
         engine.into_stream_run(pairs, accepted, undefined)
     }
 }
@@ -454,50 +452,11 @@ struct DeviceOutcome {
     d2h_bytes: u64,
 }
 
-/// Owned prepped chunk produced ahead of time by the prefetch executor.
-struct PreppedChunk {
-    pairs: Vec<SequencePair>,
-    raw: RawPairBatch,
-    host_prep_seconds: f64,
-    encode_seconds: f64,
-}
-
-/// The host stage of one chunk: gather the pairs into the flat raw transfer
-/// arena, and attach the modelled host costs — buffer preparation always,
-/// 2-bit packing at the host encode rate in host-encoded mode. A free
-/// function over owned/`Copy` inputs so the prefetch executor can run it as a
-/// `'static` task on the worker pool.
-fn prep_stage(
-    batch: &[SequencePair],
-    read_len: usize,
-    encoding: EncodingActor,
-) -> (RawPairBatch, f64, f64) {
-    let host_prep_seconds = batch.len() as f64 * HOST_PREP_SECONDS_PER_PAIR;
-    let encode_seconds = match encoding {
-        EncodingActor::Host => {
-            2.0 * batch.len() as f64 * read_len as f64 / HOST_ENCODE_BASES_PER_SECOND
-        }
-        EncodingActor::Device => 0.0,
-    };
-    (
-        RawPairBatch::from_pairs(batch),
-        host_prep_seconds,
-        encode_seconds,
-    )
-}
-
 /// Stateful chunked execution of one filtering run on one device: owns the
 /// unified-memory arena, the profiler and the pipeline schedule, and is fed
-/// pair slices in input order by the `filter_*` entry points.
-///
-/// With [`FilterConfig::host_prefetch`] on (and a parallel worker pool), the
-/// engine is a *wall-clock* prefetch executor: each chunk's prep (the raw
-/// arena gather) is dispatched as a task on the shared pool, so chunk *i+1* is
-/// gathered while chunk *i*'s kernel closure runs on the caller. At most
-/// [`PREFETCH_IN_FLIGHT`] prepped chunks exist at any moment, keeping memory
-/// bounded, and chunks are
-/// drained strictly in input order so decisions, sink calls and the simulated
-/// timeline are byte-identical to the serial path.
+/// pair slices in input order by the `filter_*` entry points. Each chunk runs
+/// to completion on the caller before the next is gathered; the §3.4 overlap
+/// lives on the simulated timeline ([`PipelineSchedule`]), not in host threads.
 struct PipelineEngine<'g> {
     gpu: &'g GateKeeperGpu,
     plan: ChunkPlan,
@@ -508,12 +467,6 @@ struct PipelineEngine<'g> {
     /// One [`ChunkLoad`] per completed chunk, in pipeline order, for the
     /// multi-GPU contention replay.
     chunk_loads: Vec<ChunkLoad>,
-    /// True when the engine actually dispatches prep tasks to the pool
-    /// (knob on *and* the pool is parallel — under `RAYON_NUM_THREADS=1` the
-    /// engine keeps today's serial path).
-    prefetch: bool,
-    /// Prep tasks in flight, oldest chunk first.
-    pending: VecDeque<rayon::JoinHandle<PreppedChunk>>,
     wall_start: Instant,
 }
 
@@ -526,144 +479,58 @@ impl<'g> PipelineEngine<'g> {
             schedule: PipelineSchedule::new(),
             timing: TimingBreakdown::default(),
             chunk_loads: Vec::new(),
-            prefetch: gpu.config.host_prefetch && rayon::current_num_threads() > 1,
-            pending: VecDeque::with_capacity(PREFETCH_IN_FLIGHT),
             wall_start: Instant::now(),
             gpu,
         }
     }
 
     /// Cuts `pairs` into plan-sized chunks and runs each through the three
-    /// stages, handing every chunk's decisions to `sink` in input order. In
-    /// prefetch mode the prep of the newest chunk runs on the pool while
-    /// older chunks' kernel closures execute here; callers must [`Self::flush`]
-    /// after the last `feed` to drain what is still in flight.
+    /// stages, handing every chunk's decisions to `sink` in input order.
     fn feed<F>(&mut self, pairs: &[SequencePair], sink: &mut F)
     where
         F: FnMut(&[SequencePair], Vec<FilterDecision>),
     {
-        let size = self.plan.chunk_pairs.max(1);
-        if self.prefetch {
-            for chunk in pairs.chunks(size) {
-                self.spawn_prep(chunk.to_vec());
-                while self.pending.len() >= PREFETCH_IN_FLIGHT {
-                    self.drain_one(sink);
-                }
-            }
-        } else {
-            // One arena per chunk: a whole-slice arena would copy exactly
-            // the same bytes while holding the entire fed slice live,
-            // breaking the bounded-memory contract for big materialized sets.
-            for chunk in pairs.chunks(size) {
-                let (raw, host_prep_seconds, encode_seconds) =
-                    prep_stage(chunk, self.gpu.config.read_len, self.gpu.config.encoding);
-                self.complete_chunk(chunk, raw.view(), host_prep_seconds, encode_seconds, sink);
-            }
-        }
-    }
-
-    /// Like [`Self::feed`], but takes ownership of the batch so prefetch-mode
-    /// chunks *move* into their prep tasks instead of being cloned — the
-    /// whole-genome streaming path, where batches are produced owned anyway.
-    fn feed_owned<F>(&mut self, batch: Vec<SequencePair>, sink: &mut F)
-    where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
-        if !self.prefetch {
-            return self.feed(&batch, sink);
-        }
-        let size = self.plan.chunk_pairs.max(1);
-        let mut source = batch.into_iter();
-        loop {
-            let chunk: Vec<SequencePair> = source.by_ref().take(size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            self.spawn_prep(chunk);
-            while self.pending.len() >= PREFETCH_IN_FLIGHT {
-                self.drain_one(sink);
-            }
-        }
-    }
-
-    /// Dispatches one owned chunk's prep (the raw-arena gather) as a task on
-    /// the worker pool.
-    fn spawn_prep(&mut self, owned: Vec<SequencePair>) {
-        let read_len = self.gpu.config.read_len;
-        let encoding = self.gpu.config.encoding;
-        self.pending.push_back(rayon::spawn(move || {
-            let (raw, host_prep_seconds, encode_seconds) = prep_stage(&owned, read_len, encoding);
-            PreppedChunk {
-                pairs: owned,
-                raw,
-                host_prep_seconds,
-                encode_seconds,
-            }
-        }));
-    }
-
-    /// Drains every prep task still in flight, in input order.
-    fn flush<F>(&mut self, sink: &mut F)
-    where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
-        while !self.pending.is_empty() {
-            self.drain_one(sink);
-        }
-    }
-
-    fn drain_one<F>(&mut self, sink: &mut F)
-    where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
-        if let Some(handle) = self.pending.pop_front() {
-            let chunk = handle.join();
-            self.complete_chunk(
-                &chunk.pairs,
-                chunk.raw.view(),
-                chunk.host_prep_seconds,
-                chunk.encode_seconds,
-                sink,
-            );
-        }
-    }
-
-    /// Runs the device side of one gathered chunk and records its stages on
-    /// the simulated timeline — identical bookkeeping whether the prep
-    /// happened inline or ahead of time on the pool.
-    fn complete_chunk<F>(
-        &mut self,
-        pairs: &[SequencePair],
-        raw: RawPairSlice<'_>,
-        host_prep_seconds: f64,
-        encode_seconds: f64,
-        sink: &mut F,
-    ) where
-        F: FnMut(&[SequencePair], Vec<FilterDecision>),
-    {
         let gpu = self.gpu;
-        let device = gpu.device_stage(raw, &mut self.memory, &mut self.profiler);
-        // Page faults sit on the kernel's critical path (§4.3) even though
-        // reporting accounts them as transfer time.
-        let stages = ChunkStageSeconds {
-            h2d_seconds: host_prep_seconds + encode_seconds + device.prefetch_seconds,
-            kernel_seconds: device.fault_seconds + device.kernel_seconds,
-            d2h_seconds: device.readback_seconds,
-        };
-        self.schedule.record_chunk(&stages);
-        self.chunk_loads.push(ChunkLoad {
-            host_seconds: host_prep_seconds + encode_seconds,
-            h2d_bytes: device.h2d_bytes,
-            kernel_seconds: device.fault_seconds + device.kernel_seconds,
-            d2h_bytes: device.d2h_bytes,
-        });
-        self.timing.host_prep_seconds += host_prep_seconds;
-        self.timing.encode_seconds += encode_seconds;
-        self.timing.encode_device_seconds += device.encode_device_seconds;
-        self.timing.transfer_seconds += device.prefetch_seconds + device.fault_seconds;
-        self.timing.kernel_seconds += device.kernel_seconds;
-        self.timing.readback_seconds += device.readback_seconds;
-        sink(pairs, device.decisions);
+        let config = &gpu.config;
+        // One arena per chunk: a whole-slice arena would copy exactly the
+        // same bytes while holding the entire fed slice live, breaking the
+        // bounded-memory contract for big materialized sets.
+        for chunk in pairs.chunks(self.plan.chunk_pairs.max(1)) {
+            // Stage 1 (host): gather the chunk into the flat raw transfer
+            // arena and charge the modelled host costs — buffer preparation
+            // always, 2-bit packing at the host encode rate in host-encoded
+            // mode.
+            let raw = RawPairBatch::from_pairs(chunk);
+            let host_prep_seconds = chunk.len() as f64 * HOST_PREP_SECONDS_PER_PAIR;
+            let encode_seconds = match config.encoding {
+                EncodingActor::Host => {
+                    2.0 * chunk.len() as f64 * config.read_len as f64 / HOST_ENCODE_BASES_PER_SECOND
+                }
+                EncodingActor::Device => 0.0,
+            };
+            let device = gpu.device_stage(raw.view(), &mut self.memory, &mut self.profiler);
+            // Page faults sit on the kernel's critical path (§4.3) even though
+            // reporting accounts them as transfer time.
+            let stages = ChunkStageSeconds {
+                h2d_seconds: host_prep_seconds + encode_seconds + device.prefetch_seconds,
+                kernel_seconds: device.fault_seconds + device.kernel_seconds,
+                d2h_seconds: device.readback_seconds,
+            };
+            self.schedule.record_chunk(&stages);
+            self.chunk_loads.push(ChunkLoad {
+                host_seconds: host_prep_seconds + encode_seconds,
+                h2d_bytes: device.h2d_bytes,
+                kernel_seconds: device.fault_seconds + device.kernel_seconds,
+                d2h_bytes: device.d2h_bytes,
+            });
+            self.timing.host_prep_seconds += host_prep_seconds;
+            self.timing.encode_seconds += encode_seconds;
+            self.timing.encode_device_seconds += device.encode_device_seconds;
+            self.timing.transfer_seconds += device.prefetch_seconds + device.fault_seconds;
+            self.timing.kernel_seconds += device.kernel_seconds;
+            self.timing.readback_seconds += device.readback_seconds;
+            sink(chunk, device.decisions);
+        }
     }
 
     fn finish(
@@ -674,10 +541,6 @@ impl<'g> PipelineEngine<'g> {
         RunAggregates,
         Vec<ChunkLoad>,
     ) {
-        debug_assert!(
-            self.pending.is_empty(),
-            "pipeline engine finished with prep tasks still in flight"
-        );
         let overlap = self.gpu.config.overlap;
         if overlap && self.schedule.chunks() > 0 {
             self.timing.overlapped_seconds = Some(self.schedule.overlapped_seconds());
@@ -686,7 +549,6 @@ impl<'g> PipelineEngine<'g> {
         let report = self.schedule.report(
             self.plan.chunk_pairs,
             overlap,
-            self.prefetch,
             self.gpu.config.device_encode(),
         );
         let aggregates = RunAggregates {
@@ -1043,81 +905,6 @@ mod tests {
         // also cut chunks, so the stream sees more kernel launches.
         assert!(streamed.batches >= run.batches);
         assert!(streamed.filter_seconds() > 0.0);
-    }
-
-    #[test]
-    fn host_prefetch_keeps_everything_but_wall_clock_identical() {
-        let set = pairs(3_000);
-        for encoding in [EncodingActor::Host, EncodingActor::Device] {
-            let base = FilterConfig::new(100, 4)
-                .with_encoding(encoding)
-                .with_chunk_pairs(250)
-                .with_overlap(true);
-            let serial = GateKeeperGpu::with_default_device(base).filter_set(&set);
-            let prefetched =
-                GateKeeperGpu::with_default_device(base.with_host_prefetch(true)).filter_set(&set);
-            // Byte-identical decisions and simulated accounting (TimingBreakdown
-            // equality deliberately excludes the measured wall clock).
-            assert_eq!(serial.decisions, prefetched.decisions);
-            assert_eq!(serial.timing, prefetched.timing);
-            assert_eq!(serial.batches, prefetched.batches);
-            assert_eq!(serial.memory_stats, prefetched.memory_stats);
-            assert_eq!(
-                serial.pipeline.overlapped_seconds,
-                prefetched.pipeline.overlapped_seconds
-            );
-            assert_eq!(
-                serial.pipeline.serialized_seconds,
-                prefetched.pipeline.serialized_seconds
-            );
-            // Both runs measured real wall clock.
-            assert!(serial.timing.host_wall_seconds > 0.0);
-            assert!(prefetched.timing.host_wall_seconds > 0.0);
-            assert!(!serial.pipeline.host_prefetch);
-            if rayon::current_num_threads() > 1 {
-                assert!(prefetched.pipeline.host_prefetch);
-            }
-        }
-    }
-
-    #[test]
-    fn host_prefetch_falls_back_to_serial_on_a_one_thread_pool() {
-        let set = pairs(800);
-        let config = FilterConfig::new(100, 4)
-            .with_chunk_pairs(100)
-            .with_host_prefetch(true);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("one-thread pool");
-        let run = pool.install(|| GateKeeperGpu::with_default_device(config).filter_set(&set));
-        // The engine reports that no prefetching actually happened…
-        assert!(!run.pipeline.host_prefetch);
-        // …and the output matches the parallel-pool prefetched run exactly.
-        let reference = GateKeeperGpu::with_default_device(config).filter_set(&set);
-        assert_eq!(run.decisions, reference.decisions);
-        assert_eq!(run.timing, reference.timing);
-    }
-
-    #[test]
-    fn host_prefetch_streaming_matches_materialized() {
-        let profile = DatasetProfile::set3();
-        let set = profile.generate(2_400, 55);
-        let config = FilterConfig::new(100, 5)
-            .with_chunk_pairs(300)
-            .with_overlap(true)
-            .with_host_prefetch(true);
-        let gpu = GateKeeperGpu::with_default_device(config);
-        let materialized = gpu.filter_set(&set);
-        let mut streamed_decisions = Vec::new();
-        let streamed = gpu
-            .filter_stream_with(profile.stream_batches(2_400, 55, 700), |_, decisions| {
-                streamed_decisions.extend_from_slice(decisions)
-            });
-        assert_eq!(streamed.pairs, set.len());
-        assert_eq!(streamed_decisions, materialized.decisions);
-        assert_eq!(streamed.accepted, materialized.accepted());
-        assert_eq!(streamed.pipeline.timing_anomalies, 0);
     }
 
     #[test]

@@ -20,12 +20,10 @@
 //!
 //! The types here account *simulated time*: decisions are computed chunk by
 //! chunk in input order and are byte-identical whether overlap is on or off.
-//! The engine driving them (`gk-core::gpu`) additionally overlaps real host
-//! work when [`FilterConfig::host_prefetch`] is set — chunk *i+1*'s prep
-//! runs as a worker-pool task while chunk *i*'s kernel closure executes, with
-//! at most [`PREFETCH_IN_FLIGHT`] prepped chunks in flight — shrinking the
-//! *measured* wall-clock (`TimingBreakdown::host_wall_seconds`) without
-//! touching the simulated splits.
+//! The engine driving them (`gk-core::gpu`) runs each chunk to completion on
+//! the calling thread before gathering the next, so the overlap exists only on
+//! the simulated timeline; the measured wall-clock
+//! (`TimingBreakdown::host_wall_seconds`) is the serial host time.
 
 use crate::config::{FilterConfig, SystemConfig};
 use crate::timing::TimingBreakdown;
@@ -38,13 +36,6 @@ use std::collections::VecDeque;
 /// Number of buffer slots rotating through the three pipeline stages: chunk
 /// *i*'s upload may only start once chunk *i − 3*'s read-back has freed a slot.
 pub const BUFFER_SLOTS: usize = 3;
-
-/// Maximum number of *prepped* chunks the host-side prefetch keeps in flight:
-/// one being consumed by the kernel closure plus one being gathered ahead on
-/// the worker pool. Bounded at `BUFFER_SLOTS − 1` so real memory usage mirrors
-/// the simulated buffer-slot rotation (the third slot is the drained
-/// read-back, which holds no input).
-pub const PREFETCH_IN_FLIGHT: usize = BUFFER_SLOTS - 1;
 
 /// Smallest chunk the contention-aware refinement will shrink to: below a few
 /// hundred pairs the fixed kernel-launch overhead starts to dominate whatever
@@ -152,11 +143,6 @@ pub struct PipelineReport {
     pub overlapped_seconds: f64,
     /// The same work executed stage after stage, chunk after chunk.
     pub serialized_seconds: f64,
-    /// Whether the run's host side actually prefetched: chunk *i+1*'s
-    /// prep executed on the worker pool while chunk *i*'s kernel
-    /// closure ran. `false` when the knob was off *or* the pool was
-    /// sequential (`RAYON_NUM_THREADS=1` fallback).
-    pub host_prefetch: bool,
     /// Whether the run modelled the device-side encoding actor (raw
     /// 1-byte-per-base uploads + fused encode+filter kernel) instead of host
     /// 2-bit encoding before the transfer.
@@ -271,20 +257,13 @@ impl PipelineSchedule {
     }
 
     /// Builds the report for a finished run.
-    pub fn report(
-        &self,
-        chunk_pairs: usize,
-        overlap: bool,
-        host_prefetch: bool,
-        device_encode: bool,
-    ) -> PipelineReport {
+    pub fn report(&self, chunk_pairs: usize, overlap: bool, device_encode: bool) -> PipelineReport {
         PipelineReport {
             chunks: self.chunks,
             chunk_pairs,
             overlap,
             overlapped_seconds: self.overlapped_seconds(),
             serialized_seconds: self.serialized_seconds(),
-            host_prefetch,
             device_encode,
             timing_anomalies: self.timeline.anomalies(),
         }
@@ -459,8 +438,7 @@ mod tests {
             schedule.record_chunk(&stages);
         }
         assert_eq!(schedule.chunks(), 8);
-        let report = schedule.report(100, true, false, false);
-        assert!(!report.host_prefetch);
+        let report = schedule.report(100, true, false);
         assert!(!report.device_encode);
         assert_eq!(report.timing_anomalies, 0);
         assert!((report.serialized_seconds - 8.0).abs() < 1e-12);

@@ -47,9 +47,13 @@ use std::io::{self, Read, Write};
 pub const FRAME_PROTOCOL_VERSION: u8 = 1;
 
 /// Upper bound on a single frame's payload, rejecting corrupt or hostile
-/// length prefixes before any allocation happens (256 MiB ≈ 600k pairs of
+/// length prefixes before any payload is read (256 MiB ≈ 600k pairs of
 /// 250 bp — far above any sane request).
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
+
+/// Largest buffer [`read_frame`] reserves before any payload byte arrives;
+/// bigger frames grow their buffer as the bytes come in.
+const INITIAL_PAYLOAD_CAPACITY: usize = 64 << 10;
 
 const TAG_REQUEST: u8 = 1;
 const TAG_CANCEL: u8 = 2;
@@ -346,8 +350,17 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Frame>> {
             "frame length prefix of {len} bytes exceeds MAX_FRAME_BYTES"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    // Grow the buffer only as payload bytes arrive: a prefix is just a
+    // claim, and a client declaring `MAX_FRAME_BYTES` then stalling or
+    // closing must not cost that much memory up front.
+    let mut payload = Vec::with_capacity(len.min(INITIAL_PAYLOAD_CAPACITY));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream closed inside a frame body",
+        ));
+    }
     decode_payload(&payload).map(Some)
 }
 
@@ -375,6 +388,15 @@ mod tests {
                 SequencePair::new(&b"ACGTN"[..], &b"ACGTA"[..]),
                 SequencePair::new(&b""[..], &b"GG"[..]),
             ],
+        }));
+        // A payload past the initial read buffer grows it as bytes arrive.
+        roundtrip(Frame::Request(RequestFrame {
+            id: 43,
+            tenant: 9,
+            kind: 0,
+            threshold: 5,
+            deadline_micros: 0,
+            pairs: vec![SequencePair::new(vec![b'A'; 100_000], vec![b'C'; 100_000])],
         }));
     }
 

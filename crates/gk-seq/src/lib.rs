@@ -55,4 +55,4 @@ pub use pairs::{encode_pair_batch, PairSet, SequencePair};
 pub use raw::{RawPairBatch, RawPairBatches, RawPairSlice};
 pub use reference::{Reference, ReferenceBuilder};
 pub use simulate::{ErrorProfile, ReadSimulator, SimulatedRead};
-pub use stream::{EncodedPairBatches, PairBatches};
+pub use stream::PairBatches;

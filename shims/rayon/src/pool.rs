@@ -476,7 +476,7 @@ impl Registry {
     /// the injector. Used by joining non-workers: deque entries are the *sub*
     /// tasks of operations already running on a worker, so they are small and
     /// finish quickly, while the injector holds whole top-level tasks (a
-    /// complete prefetch encode, a future parallel operation) that would trap
+    /// complete spawned task, a future parallel operation) that would trap
     /// the joiner long past its own latch completing.
     fn steal_subtask(&self) -> Option<Task> {
         for queue in &self.workers {
@@ -491,9 +491,9 @@ impl Registry {
     /// Waits until `latch` completes, executing queued work in the meantime
     /// **even when the caller is not a pool worker**. This is the wait used by
     /// `JoinHandle::join`: a thread that blocks on a spawned task donates its
-    /// cycles to the pool instead of idling, which is what lets a prefetch
-    /// pipeline (caller consuming chunk *i*, pool producing chunk *i+1*) keep
-    /// every core busy on machines with no spare workers. A worker of this
+    /// cycles to the pool instead of idling, so a caller that spawns work and
+    /// later joins it never leaves a core idle while that work is still
+    /// queued behind busy workers. A worker of this
     /// registry helps normally (own deque, injector, steals); a non-worker
     /// only steals deque subtasks so it cannot get stuck inside an unrelated
     /// top-level task. Parallel-iterator waits keep the stricter

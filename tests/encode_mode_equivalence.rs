@@ -1,5 +1,5 @@
 //! Property suite for the two encoding actors: for **any** dataset profile,
-//! chunk size, overlap/prefetch setting and error threshold (including the
+//! chunk size, overlap setting and error threshold (including the
 //! `e ≥ read_len` clamp region), the device-encode actor (raw 1-byte-per-base
 //! uploads + fused encode+filter kernel) and the host-encode actor (2-bit
 //! encoding before the transfer) must produce **byte-identical decisions** — materialized, streamed, and
@@ -76,7 +76,6 @@ proptest! {
         pair_count in 120usize..320,
         seed in 0u64..1_000_000,
         overlap in proptest::sample::select(vec![false, true]),
-        prefetch in proptest::sample::select(vec![false, true]),
         undefined_pct in 0usize..12,
     ) {
         let mut profile = profiles()[profile_idx].clone();
@@ -86,8 +85,7 @@ proptest! {
 
         let base = FilterConfig::new(profile.read_len, threshold)
             .with_chunk_pairs(chunk)
-            .with_overlap(overlap)
-            .with_host_prefetch(prefetch);
+            .with_overlap(overlap);
         let host = GateKeeperGpu::with_default_device(base.with_device_encode(false))
             .filter_set(&set);
         let device = GateKeeperGpu::with_default_device(base.with_device_encode(true))

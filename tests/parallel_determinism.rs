@@ -269,13 +269,23 @@ fn filter_batch_is_identical_to_sequential() {
 fn simulated_gpu_run_is_identical_to_sequential() {
     // The whole GPU-system result (decisions + modelled timing + kernel stats)
     // is derived from counts, not wall clock, so parallel and sequential runs
-    // must agree exactly.
+    // must agree exactly: for a single host-encoded chunk, and for a
+    // multi-chunk overlapped run on the device-encode path.
+    let configs = [
+        FilterConfig::new(100, 4).with_encoding(EncodingActor::Host),
+        FilterConfig::new(100, 4)
+            .with_chunk_pairs(100)
+            .with_device_encode(true)
+            .with_overlap(true),
+    ];
     for seed in SEEDS {
         let pairs = DatasetProfile::set3().generate(1_500, seed);
-        let config = FilterConfig::new(100, 4).with_encoding(EncodingActor::Host);
-        let parallel = GateKeeperGpu::with_default_device(config).filter_set(&pairs);
-        let fallback = sequential(|| GateKeeperGpu::with_default_device(config).filter_set(&pairs));
-        assert_eq!(parallel, fallback, "seed {seed}");
+        for config in configs {
+            let parallel = GateKeeperGpu::with_default_device(config).filter_set(&pairs);
+            let fallback =
+                sequential(|| GateKeeperGpu::with_default_device(config).filter_set(&pairs));
+            assert_eq!(parallel, fallback, "seed {seed}, {config:?}");
+        }
     }
 }
 
@@ -386,56 +396,6 @@ fn streamed_filtering_matches_materialized_filtering_at_every_chunk_size() {
 }
 
 #[test]
-fn host_prefetch_never_changes_decisions_or_timing_splits() {
-    // The wall-clock prefetch executor (encode of chunk i+1 on the pool while
-    // chunk i's kernel closure runs) may only change measured wall-clock:
-    // decisions, counts and every simulated split must be byte-identical at
-    // every chunk size, materialized and streamed.
-    for seed in SEEDS {
-        let mut profile = DatasetProfile::set3();
-        profile.undefined_fraction = 0.03;
-        let pairs = profile.generate(900, seed);
-        for chunk in CHUNK_SIZES {
-            let base = FilterConfig::new(100, 4)
-                .with_chunk_pairs(chunk)
-                .with_overlap(true);
-            let serial = GateKeeperGpu::with_default_device(base).filter_set(&pairs);
-            let prefetched = GateKeeperGpu::with_default_device(base.with_host_prefetch(true))
-                .filter_set(&pairs);
-            assert_eq!(
-                serial.decisions, prefetched.decisions,
-                "seed {seed}, chunk {chunk}"
-            );
-            // TimingBreakdown equality covers the simulated splits only (the
-            // measured host wall-clock is deliberately excluded).
-            assert_eq!(serial.timing, prefetched.timing);
-            assert_eq!(serial.batches, prefetched.batches);
-            assert_eq!(serial.memory_stats, prefetched.memory_stats);
-            assert_eq!(
-                serial.pipeline.overlapped_seconds,
-                prefetched.pipeline.overlapped_seconds
-            );
-            assert_eq!(
-                serial.pipeline.serialized_seconds,
-                prefetched.pipeline.serialized_seconds
-            );
-
-            // Streamed with prefetch (and read-ahead batch generation) equals
-            // materialized without, chunk for chunk.
-            let gpu = GateKeeperGpu::with_default_device(base.with_host_prefetch(true));
-            let mut streamed_decisions = Vec::new();
-            let streamed = gpu.filter_stream_with(
-                profile.stream_batches(900, seed, 450).read_ahead(),
-                |_, decisions| streamed_decisions.extend_from_slice(decisions),
-            );
-            assert_eq!(streamed.pairs, 900, "seed {seed}, chunk {chunk}");
-            assert_eq!(streamed_decisions, serial.decisions);
-            assert_eq!(streamed.accepted, serial.accepted());
-        }
-    }
-}
-
-#[test]
 fn device_encode_is_identical_to_sequential_and_to_host_encode() {
     // The raw-upload + fused-kernel path fans its per-pair packing out on the
     // pool inside the kernel closure, so it needs the same two guarantees as
@@ -461,63 +421,6 @@ fn device_encode_is_identical_to_sequential_and_to_host_encode() {
                 "seed {seed}, chunk {chunk}"
             );
         }
-    }
-}
-
-#[test]
-fn host_prefetch_fallback_on_a_one_thread_pool_is_byte_identical() {
-    // Inside a one-thread pool (the same mode RAYON_NUM_THREADS=1 selects) the
-    // engine must keep today's serial path: identical output, and the report
-    // must say no prefetching happened.
-    let pairs = DatasetProfile::set3().generate(700, 31);
-    let config = FilterConfig::new(100, 4)
-        .with_chunk_pairs(90)
-        .with_overlap(true)
-        .with_host_prefetch(true);
-    let reference = GateKeeperGpu::with_default_device(config).filter_set(&pairs);
-    let fallback = sequential(|| GateKeeperGpu::with_default_device(config).filter_set(&pairs));
-    assert!(!fallback.pipeline.host_prefetch);
-    assert_eq!(fallback.decisions, reference.decisions);
-    assert_eq!(fallback.timing, reference.timing);
-    assert_eq!(fallback.batches, reference.batches);
-}
-
-#[test]
-fn mapper_records_are_identical_with_host_prefetch_on_or_off() {
-    let reference = ReferenceBuilder::new(60_000)
-        .seed(321)
-        .repeat_fraction(0.25)
-        .n_gaps(0, 0)
-        .build();
-    let reads: Vec<FastqRecord> = ReadSimulator::new(100, ErrorProfile::illumina())
-        .seed(11)
-        .simulate(&reference, 70)
-        .iter()
-        .map(|r| r.to_fastq())
-        .collect();
-    let mapper = ReadMapper::new(reference, MapperConfig::new(3));
-
-    let baseline = mapper.map_reads(
-        &reads,
-        &PreFilter::Gpu(GateKeeperGpu::with_default_device(FilterConfig::new(
-            100, 3,
-        ))),
-    );
-    for chunk in [1usize, 64, 10_000] {
-        let config = FilterConfig::new(100, 3)
-            .with_chunk_pairs(chunk)
-            .with_overlap(true)
-            .with_host_prefetch(true);
-        let filter = PreFilter::Gpu(GateKeeperGpu::with_default_device(config));
-        let outcome = mapper.map_reads(&reads, &filter);
-        assert_eq!(outcome.records, baseline.records, "chunk {chunk}");
-        assert_eq!(outcome.stats.mappings, baseline.stats.mappings);
-        assert_eq!(outcome.stats.mapped_reads, baseline.stats.mapped_reads);
-        assert_eq!(
-            outcome.stats.verification_pairs,
-            baseline.stats.verification_pairs
-        );
-        assert_eq!(outcome.stats.rejected_pairs, baseline.stats.rejected_pairs);
     }
 }
 
