@@ -21,7 +21,7 @@
 //! Writes `BENCH_serve.json` and prints the README table between
 //! `<!-- serve-bench:begin -->` / `<!-- serve-bench:end -->` markers.
 
-use gk_core::backend::{BackendRegistry, FilterBackend, FilterJob, FilterKind};
+use gk_core::backend::{CpuSimdBackend, FilterBackend, FilterJob, FilterKind};
 use gk_filters::traits::decision_digest;
 use gk_seq::datasets::DatasetProfile;
 use gk_seq::pairs::SequencePair;
@@ -42,7 +42,6 @@ struct BenchArgs {
     threshold: u32,
     flush_ms: u64,
     deadline_ms: u64,
-    backend: String,
     connect: Option<String>,
     json_path: String,
 }
@@ -58,7 +57,6 @@ impl Default for BenchArgs {
             threshold: 2,
             flush_ms: 2,
             deadline_ms: 75,
-            backend: "gpu-sim".to_string(),
             connect: None,
             json_path: "BENCH_serve.json".to_string(),
         }
@@ -88,7 +86,6 @@ fn parse_args() -> BenchArgs {
             "--deadline-ms" => {
                 parsed.deadline_ms = value("--deadline-ms").parse().expect("--deadline-ms")
             }
-            "--backend" => parsed.backend = value("--backend"),
             "--connect" => parsed.connect = Some(value("--connect")),
             "--json" => parsed.json_path = value("--json"),
             other => eprintln!("serve_bench: ignoring unknown flag {other:?}"),
@@ -384,9 +381,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let backend: Arc<dyn FilterBackend> = BackendRegistry::standard(0)
-        .get(&args.backend)
-        .unwrap_or_else(|| panic!("unknown backend {:?}", args.backend));
+    let backend: Arc<dyn FilterBackend> = Arc::new(CpuSimdBackend::new(0));
 
     println!(
         "serve_bench: backend {}, {} clients × {} requests, {} pairs/request (large {} every {}), \

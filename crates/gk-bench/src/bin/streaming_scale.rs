@@ -23,7 +23,7 @@
 //!         [--device-encode] [--help]`
 
 use gk_bench::datasets::PAPER_SET_SIZE;
-use gk_bench::runner::streaming_gpu_throughput_with;
+use gk_bench::runner::streaming_gpu;
 use gk_bench::table::fmt;
 use gk_bench::{HarnessArgs, SETUP1};
 use gk_core::config::EncodingActor;
@@ -58,6 +58,7 @@ impl DecisionDigest {
 
 struct MeasuredRun {
     run: StreamFilterRun,
+    source_batch: usize,
     digest: u64,
     wall_seconds: f64,
 }
@@ -65,6 +66,7 @@ struct MeasuredRun {
 struct RunSpec {
     pairs: usize,
     seed: u64,
+    /// Upper bound on pairs per source batch, rounded down to whole chunks.
     source_batch: usize,
     threshold: u32,
     overlap: bool,
@@ -75,18 +77,29 @@ struct RunSpec {
 fn measure(profile: &DatasetProfile, spec: &RunSpec) -> MeasuredRun {
     let mut digest = DecisionDigest::default();
     let wall_start = Instant::now();
-    let source = profile.stream_batches(spec.pairs, spec.seed, spec.source_batch);
-    let run = streaming_gpu_throughput_with(
+    let gpu = streaming_gpu(
         &SETUP1,
-        source,
+        profile.read_len,
         spec.threshold,
         spec.encoding,
         spec.overlap,
         spec.chunk,
-        |_, decisions| digest.update(decisions),
+    );
+    // Each source batch is cut into chunks on its own, so a batch of whole
+    // chunks leaves no short tail launch behind it.
+    let chunk_pairs = gpu.chunk_plan().chunk_pairs;
+    let source_batch = (spec.source_batch / chunk_pairs).max(1) * chunk_pairs;
+    let source = profile.stream_batches(spec.pairs, spec.seed, source_batch);
+    let run = gpu.filter_stream_with(source, |_, decisions| digest.update(decisions));
+    assert_eq!(
+        run.batches,
+        spec.pairs.div_ceil(run.pipeline.chunk_pairs),
+        "a source batch of {source_batch} pairs left partial chunks of {}",
+        run.pipeline.chunk_pairs
     );
     MeasuredRun {
         run,
+        source_batch,
         digest: digest.0,
         wall_seconds: wall_start.elapsed().as_secs_f64(),
     }
@@ -99,6 +112,7 @@ fn print_run(label: &str, measured: &MeasuredRun) {
     println!("accepted                : {}", run.accepted);
     println!("rejected                : {}", run.rejected());
     println!("undefined pass-through  : {}", run.undefined);
+    println!("source batch            : {} pairs", measured.source_batch);
     println!(
         "kernel launches (chunks): {} of {} pairs (resolved pipeline chunk)",
         run.batches, run.pipeline.chunk_pairs
@@ -236,6 +250,7 @@ fn main() {
     let chunk = args.chunk(250_000);
     // `--chunk 0` means auto-size the *pipeline* chunks; the source still needs
     // a real batch size to stay bounded without degenerating to 1-pair batches.
+    // `measure` rounds it down to whole resolved chunks.
     let source_batch = if chunk == 0 {
         250_000
     } else {
@@ -255,7 +270,7 @@ fn main() {
         profile.name
     );
     println!(
-        "pairs = {pairs}, source batch = {source_batch}, requested chunk = {chunk}, e = {threshold}, overlap = {}, encoding = {primary_encoding:?}, pool threads = {}\n",
+        "pairs = {pairs}, source batch <= {source_batch}, requested chunk = {chunk}, e = {threshold}, overlap = {}, encoding = {primary_encoding:?}, pool threads = {}\n",
         !args.serialized,
         rayon::current_num_threads()
     );

@@ -5,12 +5,10 @@ use gk_core::backend::{CpuSimdBackend, FilterBackend, FilterJob, FilterKind};
 use gk_core::config::{EncodingActor, FilterConfig};
 use gk_core::gpu::GateKeeperGpu;
 use gk_core::multi_gpu::{MultiGpuGateKeeper, MultiGpuRun};
-use gk_core::pipeline::StreamFilterRun;
 use gk_core::timing::billions_in_40_minutes;
 use gk_filters::SimdMode;
 use gk_gpusim::topology::TopologyKind;
 use gk_seq::pairs::PairSet;
-use gk_seq::stream::PairBatches;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -171,51 +169,25 @@ pub fn cpu_throughput_with_mode(
     ThroughputPoint::new(set.len(), seconds, seconds)
 }
 
-/// Drives a streaming pair source through GateKeeper-GPU on one device of a
-/// setup without materializing the pair set; the source's read length sizes
-/// the filter configuration. `encoding` selects the modelled actor:
-/// [`EncodingActor::Device`] uploads raw reads and packs inside the fused
-/// encode+filter kernel, [`EncodingActor::Host`] pays a host encode stage and
-/// ships 2-bit words.
-pub fn streaming_gpu_throughput(
+/// GateKeeper-GPU on one device of a setup, configured for a streaming run
+/// over `read_len`-base pairs; drive it with
+/// [`GateKeeperGpu::filter_stream_with`]. `encoding` selects the modelled
+/// actor: [`EncodingActor::Device`] uploads raw reads and packs inside the
+/// fused encode+filter kernel, [`EncodingActor::Host`] pays a host encode
+/// stage and ships 2-bit words.
+pub fn streaming_gpu(
     setup: &Setup,
-    source: PairBatches,
+    read_len: usize,
     threshold: u32,
     encoding: EncodingActor,
     overlap: bool,
     chunk_pairs: usize,
-) -> StreamFilterRun {
-    streaming_gpu_throughput_with(
-        setup,
-        source,
-        threshold,
-        encoding,
-        overlap,
-        chunk_pairs,
-        |_, _| {},
-    )
-}
-
-/// Like [`streaming_gpu_throughput`], handing every chunk's pairs and
-/// decisions to `sink` in input order (for callers that checksum or persist
-/// decisions without materializing them).
-pub fn streaming_gpu_throughput_with<F>(
-    setup: &Setup,
-    source: PairBatches,
-    threshold: u32,
-    encoding: EncodingActor,
-    overlap: bool,
-    chunk_pairs: usize,
-    sink: F,
-) -> StreamFilterRun
-where
-    F: FnMut(&[gk_seq::pairs::SequencePair], &[gk_filters::FilterDecision]),
-{
-    let config = FilterConfig::new(source.read_len(), threshold)
+) -> GateKeeperGpu {
+    let config = FilterConfig::new(read_len, threshold)
         .with_encoding(encoding)
         .with_overlap(overlap)
         .with_chunk_pairs(chunk_pairs);
-    GateKeeperGpu::new(setup.device(), config).filter_stream_with(source, sink)
+    GateKeeperGpu::new(setup.device(), config)
 }
 
 /// Speedup of `baseline_seconds` over `improved_seconds` (≥ 1 means faster).
@@ -297,11 +269,19 @@ mod tests {
     fn streaming_throughput_reports_the_overlap_win() {
         use gk_seq::datasets::DatasetProfile;
         let profile = DatasetProfile::set3();
-        let stream = || profile.stream_batches(5_000, 4_242, 1_000);
-        let overlapped =
-            streaming_gpu_throughput(&SETUP1, stream(), 2, EncodingActor::Host, true, 500);
-        let serialized =
-            streaming_gpu_throughput(&SETUP1, stream(), 2, EncodingActor::Host, false, 500);
+        let run = |overlap| {
+            streaming_gpu(
+                &SETUP1,
+                profile.read_len,
+                2,
+                EncodingActor::Host,
+                overlap,
+                500,
+            )
+            .filter_stream_with(profile.stream_batches(5_000, 4_242, 1_000), |_, _| {})
+        };
+        let overlapped = run(true);
+        let serialized = run(false);
         assert_eq!(overlapped.pairs, 5_000);
         assert_eq!(overlapped.batches, 10);
         assert_eq!(overlapped.accepted, serialized.accepted);

@@ -1,24 +1,20 @@
-//! Filter execution backends behind one trait — the registry the service
-//! layer (`gk-serve`) and any future scheduler dispatch through.
+//! Filter execution behind one trait — the seam the service layer
+//! (`gk-serve`) dispatches through.
 //!
-//! The paper evaluates each filter as one pre-planned offline pass; the
-//! ROADMAP north-star is a daemon serving many tenants, which needs the
-//! execution substrates (multicore SIMD lanes, the simulated GPU pipeline,
-//! the topology-aware multi-GPU scheduler) interchangeable at request time.
-//! [`FilterBackend`] is that seam: a backend takes a [`FilterJob`] — filter
-//! kind, edit threshold, read-pair slice — and returns per-pair
-//! [`FilterDecision`]s in input order. [`BackendRegistry`] holds named
-//! backends the way `IP-Hacker` fans one query across provider modules
-//! behind its `IpCheck` trait.
+//! [`FilterBackend`] takes a [`FilterJob`] — filter kind, edit threshold,
+//! read-pair slice — and returns per-pair [`FilterDecision`]s in input order.
+//! [`CpuSimdBackend`] is the one implementation the daemon serves through: it
+//! runs [`decide`], the same dispatch the simulated GPU pipeline decides with,
+//! so where a pair is filtered changes only its timing, never its decision
+//! (§3.4). Harnesses and tests wrap it to time or hold calls.
 //!
 //! # Example
 //!
 //! ```
-//! use gk_core::backend::{BackendRegistry, FilterJob, FilterKind};
+//! use gk_core::backend::{CpuSimdBackend, FilterBackend, FilterJob, FilterKind};
 //! use gk_seq::pairs::SequencePair;
 //!
-//! let registry = BackendRegistry::standard(2);
-//! let backend = registry.get("cpu-simd").expect("standard backend");
+//! let backend = CpuSimdBackend::new(2);
 //! let pairs = vec![
 //!     SequencePair::new(&b"ACGTACGT"[..], &b"ACGTACGT"[..]),
 //!     SequencePair::new(&b"ACGTACGT"[..], &b"TGCATGCA"[..]),
@@ -28,55 +24,37 @@
 //! assert!(!decisions[1].accepted);
 //! ```
 
-use crate::config::FilterConfig;
-use crate::gpu::GateKeeperGpu;
-use crate::multi_gpu::MultiGpuGateKeeper;
 use gk_filters::decide;
 use gk_filters::simd::SimdMode;
 use gk_filters::traits::FilterDecision;
-use gk_gpusim::device::DeviceSpec;
-use gk_gpusim::topology::TopologyKind;
 use gk_seq::pairs::SequencePair;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// The filter a job asks for; defined next to [`decide`] in `gk-filters`,
 /// which maps every kind to its block kernel.
 pub use gk_filters::FilterKind;
 
 /// One unit of backend work: a contiguous block of pairs, all filtered with
-/// the same kind and threshold (the batcher's coalescing key).
+/// the same kind and threshold (the batcher's coalescing key). Read lengths
+/// may differ from pair to pair.
 #[derive(Debug, Clone, Copy)]
 pub struct FilterJob<'a> {
     /// Which filter to run.
     pub kind: FilterKind,
     /// Edit-distance threshold `e`.
     pub threshold: u32,
-    /// Nominal read length, used by the simulated-device backends to size
-    /// batches and the timing model. Derived from the first pair by
-    /// [`FilterJob::new`]; override with [`FilterJob::with_read_len`] for
-    /// intentionally ragged jobs.
-    pub read_len: usize,
     /// The pairs to filter, decisions returned in this order.
     pub pairs: &'a [SequencePair],
 }
 
 impl<'a> FilterJob<'a> {
-    /// Builds a job, deriving `read_len` from the first pair (0 if empty).
+    /// Builds a job.
     pub fn new(kind: FilterKind, threshold: u32, pairs: &'a [SequencePair]) -> FilterJob<'a> {
-        let read_len = pairs.first().map(|p| p.read_len()).unwrap_or(0);
         FilterJob {
             kind,
             threshold,
-            read_len,
             pairs,
         }
-    }
-
-    /// Overrides the nominal read length.
-    pub fn with_read_len(mut self, read_len: usize) -> FilterJob<'a> {
-        self.read_len = read_len;
-        self
     }
 }
 
@@ -87,21 +65,12 @@ impl<'a> FilterJob<'a> {
 /// decisions must be positionally independent so the dynamic batcher can
 /// split and concatenate jobs freely.
 pub trait FilterBackend: Send + Sync {
-    /// Registry name (`cpu-simd`, `gpu-sim`, `multi-gpu`).
+    /// Short name for logs and bench reports (`cpu-simd` for
+    /// [`CpuSimdBackend`]).
     fn name(&self) -> &str;
 
     /// Filters every pair of the job, returning decisions in input order.
     fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision>;
-}
-
-/// Recovers a poisoned cache mutex: the caches below hold only constructed
-/// filter instances (no partial state), so the data is valid even if a
-/// panicking thread held the lock.
-fn lock_cache<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Multicore SIMD-lane backend, and the multicore CPU baseline of the
@@ -157,190 +126,15 @@ impl FilterBackend for CpuSimdBackend {
     }
 }
 
-/// Simulated-GPU backend: GateKeeper runs the chunked, stream-overlapped
-/// device pipeline ([`GateKeeperGpu`]); the other filters, which have no
-/// device implementation in the paper, fall back to the CPU lane path.
-pub struct GpuSimBackend {
-    device: DeviceSpec,
-    template: FilterConfig,
-    instances: Mutex<HashMap<(usize, u32), Arc<GateKeeperGpu>>>,
-    fallback: CpuSimdBackend,
-}
-
-impl GpuSimBackend {
-    /// Builds a backend over the paper's Setup 1 device (GTX 1080 Ti).
-    pub fn new() -> GpuSimBackend {
-        GpuSimBackend::with_device(DeviceSpec::gtx_1080_ti())
-    }
-
-    /// Builds a backend over an explicit device model.
-    pub fn with_device(device: DeviceSpec) -> GpuSimBackend {
-        GpuSimBackend {
-            device,
-            template: FilterConfig::new(100, 0),
-            instances: Mutex::new(HashMap::new()),
-            fallback: CpuSimdBackend::new(1),
-        }
-    }
-
-    /// Uses `template` as the base configuration (encoding actor, overlap,
-    /// chunking knobs); read length and threshold still come from each job.
-    pub fn with_config_template(mut self, template: FilterConfig) -> GpuSimBackend {
-        self.template = template;
-        self
-    }
-
-    fn instance(&self, read_len: usize, threshold: u32) -> Arc<GateKeeperGpu> {
-        let mut cache = lock_cache(&self.instances);
-        cache
-            .entry((read_len, threshold))
-            .or_insert_with(|| {
-                let mut config = self.template;
-                config.read_len = read_len;
-                config.threshold = threshold;
-                Arc::new(GateKeeperGpu::new(self.device.clone(), config))
-            })
-            .clone()
-    }
-}
-
-impl Default for GpuSimBackend {
-    fn default() -> GpuSimBackend {
-        GpuSimBackend::new()
-    }
-}
-
-impl FilterBackend for GpuSimBackend {
-    fn name(&self) -> &str {
-        "gpu-sim"
-    }
-
-    fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
-        match job.kind {
-            FilterKind::GateKeeper => {
-                let gpu = self.instance(job.read_len.max(1), job.threshold);
-                gpu.filter_chunks(std::iter::once(job.pairs)).decisions
-            }
-            _ => self.fallback.run(job),
-        }
-    }
-}
-
-/// Topology-aware multi-GPU backend: GateKeeper sharded across several
-/// simulated devices with the PR 8 contention-aware scheduler; non-GateKeeper
-/// kinds fall back to the CPU lane path as on [`GpuSimBackend`].
-pub struct MultiGpuBackend {
-    device: DeviceSpec,
-    device_count: usize,
-    topology: TopologyKind,
-    instances: Mutex<HashMap<(usize, u32), Arc<MultiGpuGateKeeper>>>,
-    fallback: CpuSimdBackend,
-}
-
-impl MultiGpuBackend {
-    /// Builds a backend over `device_count` copies of the Setup 1 device on a
-    /// shared-root topology (the contended case the aware scheduler wins).
-    pub fn new(device_count: usize) -> MultiGpuBackend {
-        MultiGpuBackend::with_device(
-            DeviceSpec::gtx_1080_ti(),
-            device_count,
-            TopologyKind::SharedRoot,
-        )
-    }
-
-    /// Builds a backend over an explicit device model and topology.
-    pub fn with_device(
-        device: DeviceSpec,
-        device_count: usize,
-        topology: TopologyKind,
-    ) -> MultiGpuBackend {
-        MultiGpuBackend {
-            device,
-            device_count: device_count.max(1),
-            topology,
-            instances: Mutex::new(HashMap::new()),
-            fallback: CpuSimdBackend::new(1),
-        }
-    }
-
-    fn instance(&self, read_len: usize, threshold: u32) -> Arc<MultiGpuGateKeeper> {
-        let mut cache = lock_cache(&self.instances);
-        cache
-            .entry((read_len, threshold))
-            .or_insert_with(|| {
-                let config = FilterConfig::new(read_len, threshold)
-                    .with_topology(self.topology)
-                    .with_topology_aware(true);
-                Arc::new(MultiGpuGateKeeper::new(
-                    self.device.clone(),
-                    self.device_count,
-                    config,
-                ))
-            })
-            .clone()
-    }
-}
-
-impl FilterBackend for MultiGpuBackend {
-    fn name(&self) -> &str {
-        "multi-gpu"
-    }
-
-    fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
-        match job.kind {
-            FilterKind::GateKeeper => {
-                let multi = self.instance(job.read_len.max(1), job.threshold);
-                multi.filter_set(job.pairs).decisions
-            }
-            _ => self.fallback.run(job),
-        }
-    }
-}
-
-/// Named collection of filter backends, the service's dispatch table.
-#[derive(Default)]
-pub struct BackendRegistry {
-    backends: Vec<Arc<dyn FilterBackend>>,
-}
-
-impl BackendRegistry {
-    /// An empty registry.
-    pub fn new() -> BackendRegistry {
-        BackendRegistry::default()
-    }
-
-    /// The three standard backends — `cpu-simd` (over a `threads`-wide pool),
-    /// `gpu-sim` (Setup 1 device) and `multi-gpu` (4 × Setup 1, shared root,
-    /// topology-aware).
-    pub fn standard(threads: usize) -> BackendRegistry {
-        let mut registry = BackendRegistry::new();
-        registry.register(Arc::new(CpuSimdBackend::new(threads)));
-        registry.register(Arc::new(GpuSimBackend::new()));
-        registry.register(Arc::new(MultiGpuBackend::new(4)));
-        registry
-    }
-
-    /// Adds (or replaces, by name) a backend.
-    pub fn register(&mut self, backend: Arc<dyn FilterBackend>) {
-        self.backends.retain(|b| b.name() != backend.name());
-        self.backends.push(backend);
-    }
-
-    /// Looks a backend up by registry name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn FilterBackend>> {
-        self.backends.iter().find(|b| b.name() == name).cloned()
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.backends.iter().map(|b| b.name()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FilterConfig;
+    use crate::gpu::GateKeeperGpu;
+    use crate::multi_gpu::MultiGpuGateKeeper;
     use gk_filters::traits::decision_digest;
+    use gk_gpusim::device::DeviceSpec;
+    use gk_gpusim::topology::TopologyKind;
     use gk_seq::datasets::DatasetProfile;
     use gk_seq::pairs::PairSet;
 
@@ -358,47 +152,34 @@ mod tests {
         assert!("nope".parse::<FilterKind>().is_err());
     }
 
-    #[test]
-    fn registry_lookup_and_replace() {
-        let registry = BackendRegistry::standard(1);
-        assert_eq!(registry.names(), vec!["cpu-simd", "gpu-sim", "multi-gpu"]);
-        assert!(registry.get("cpu-simd").is_some());
-        assert!(registry.get("fpga").is_none());
-    }
-
-    #[test]
-    fn backends_agree_on_every_filter_kind() {
-        let pairs = sample_pairs(700);
-        let registry = BackendRegistry::standard(2);
-        for kind in FilterKind::ALL {
-            let job = FilterJob::new(kind, 3, &pairs);
-            let digests: Vec<u64> = ["cpu-simd", "gpu-sim", "multi-gpu"]
-                .iter()
-                .map(|name| {
-                    let backend = registry.get(name).expect("standard backend");
-                    let decisions = backend.run(&job);
-                    assert_eq!(decisions.len(), pairs.len());
-                    decision_digest(&decisions)
-                })
-                .collect();
-            assert_eq!(digests[0], digests[1], "{kind}: cpu vs gpu-sim");
-            assert_eq!(digests[0], digests[2], "{kind}: cpu vs multi-gpu");
-        }
+    /// GateKeeper through the backend, as the service runs it.
+    fn served_gatekeeper(pairs: &[SequencePair], threshold: u32) -> u64 {
+        let decisions =
+            CpuSimdBackend::new(2).run(&FilterJob::new(FilterKind::GateKeeper, threshold, pairs));
+        assert_eq!(decisions.len(), pairs.len());
+        decision_digest(&decisions)
     }
 
     #[test]
     fn gpu_backend_matches_direct_filter_set() {
         let pairs = sample_pairs(600);
-        let backend = GpuSimBackend::new();
-        let job = FilterJob::new(FilterKind::GateKeeper, 2, &pairs);
-        let via_backend = backend.run(&job);
-
-        let config = FilterConfig::new(job.read_len, 2);
-        let gpu = GateKeeperGpu::with_default_device(config);
+        let read_len = pairs[0].read_len();
+        let gpu = GateKeeperGpu::with_default_device(FilterConfig::new(read_len, 2));
         let direct = gpu
-            .filter_set(&PairSet::new("direct", job.read_len, pairs.clone()))
+            .filter_set(&PairSet::new("direct", read_len, pairs.clone()))
             .decisions;
-        assert_eq!(decision_digest(&via_backend), decision_digest(&direct));
+        assert_eq!(served_gatekeeper(&pairs, 2), decision_digest(&direct));
+    }
+
+    #[test]
+    fn cpu_backend_matches_topology_aware_multi_gpu() {
+        let pairs = sample_pairs(700);
+        let config = FilterConfig::new(pairs[0].read_len(), 3)
+            .with_topology(TopologyKind::SharedRoot)
+            .with_topology_aware(true);
+        let multi = MultiGpuGateKeeper::new(DeviceSpec::gtx_1080_ti(), 4, config);
+        let direct = multi.filter_set(&pairs).decisions;
+        assert_eq!(served_gatekeeper(&pairs, 3), decision_digest(&direct));
     }
 
     #[test]

@@ -38,14 +38,14 @@
 //! Execution is organised as the chunked three-stage pipeline of
 //! [`crate::pipeline`]: every run — [`GateKeeperGpu::filter_set`] over a
 //! materialized [`PairSet`], [`GateKeeperGpu::filter_chunks`] over explicit
-//! slices, or [`GateKeeperGpu::filter_stream`] over batches produced on the fly
-//! — feeds plan-sized chunks through encode+H2D, kernel, and D2H read-back
-//! stages. With [`FilterConfig::overlap`] on, the stages of adjacent chunks
-//! overlap on separate simulated streams (§3.4) and the reported filter time is
-//! the pipeline makespan; decisions are byte-identical either way. On the host
-//! the chunks run one after another: each is gathered, decided (its 256-pair
-//! blocks fanned across the worker pool by [`gk_filters::decide`]), recorded
-//! and handed to the sink before the next is gathered.
+//! slices, or [`GateKeeperGpu::filter_stream_with`] over batches produced on
+//! the fly — feeds plan-sized chunks through encode+H2D, kernel, and D2H
+//! read-back stages. With [`FilterConfig::overlap`] on, the stages of adjacent
+//! chunks overlap on separate simulated streams (§3.4) and the reported filter
+//! time is the pipeline makespan; decisions are byte-identical either way. On
+//! the host the chunks run one after another: each is gathered, decided (its
+//! 256-pair blocks fanned across the worker pool by [`gk_filters::decide`]),
+//! recorded and handed to the sink before the next is gathered.
 
 use crate::config::{EncodingActor, FilterConfig, SystemConfig};
 use crate::pipeline::{
@@ -400,19 +400,10 @@ impl GateKeeperGpu {
     }
 
     /// Filters a stream of pair batches without materializing the full pair set
-    /// *or* the full decision vector: only aggregate counts, timing and memory
-    /// traffic are retained. This is the whole-genome-scale entry point (30M
-    /// pairs in the paper's sets).
-    pub fn filter_stream<I>(&self, batches: I) -> StreamFilterRun
-    where
-        I: IntoIterator<Item = Vec<SequencePair>>,
-    {
-        self.filter_stream_with(batches, |_, _| {})
-    }
-
-    /// Like [`GateKeeperGpu::filter_stream`], handing each chunk's pairs and
-    /// decisions to `sink` before they are dropped (for callers that persist or
-    /// post-process decisions incrementally).
+    /// *or* the full decision vector: each chunk's pairs and decisions go to
+    /// `sink` before they are dropped, and only aggregate counts, timing and
+    /// memory traffic are retained. This is the whole-genome-scale entry point
+    /// (30M pairs in the paper's sets).
     pub fn filter_stream_with<I, F>(&self, batches: I, mut sink: F) -> StreamFilterRun
     where
         I: IntoIterator<Item = Vec<SequencePair>>,

@@ -16,11 +16,11 @@
 //!   across several devices with the paper's timing conventions.
 //! * [`timing`] — timing breakdowns and the "billions of filtrations in 40 minutes"
 //!   throughput metric used throughout §5.2.
-//! * [`backend`] — [`backend::FilterBackend`]: the cpu/gpu/multi-gpu execution
-//!   paths behind one registry trait, the dispatch seam of the `gk-serve`
-//!   filter-as-a-service daemon. [`backend::CpuSimdBackend`] doubles as the
-//!   multicore CPU baseline of the throughput comparison (Table 2); harnesses
-//!   time its `run` in real wall-clock time.
+//! * [`backend`] — [`backend::FilterBackend`], the dispatch seam of the
+//!   `gk-serve` filter-as-a-service daemon, and [`backend::CpuSimdBackend`],
+//!   the one backend it serves through. The same backend is the multicore CPU
+//!   baseline of the throughput comparison (Table 2); harnesses time its `run`
+//!   in real wall-clock time.
 //!
 //! The filtering *algorithm* (masks, amendment, boundary fix) lives in
 //! `gk-filters`, and every path here decides through its one dispatch,
@@ -36,10 +36,7 @@ pub mod multi_gpu;
 pub mod pipeline;
 pub mod timing;
 
-pub use backend::{
-    BackendRegistry, CpuSimdBackend, FilterBackend, FilterJob, FilterKind, GpuSimBackend,
-    MultiGpuBackend,
-};
+pub use backend::{CpuSimdBackend, FilterBackend, FilterJob, FilterKind};
 pub use config::{EncodingActor, FilterConfig, SystemConfig};
 pub use gpu::{FilterRun, GateKeeperGpu};
 pub use multi_gpu::{DeviceAssignment, MultiGpuGateKeeper, MultiGpuRun, MultiGpuSchedule};

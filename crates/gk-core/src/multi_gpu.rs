@@ -40,7 +40,7 @@
 use crate::config::{EncodingActor, FilterConfig};
 use crate::gpu::{FilterRun, GateKeeperGpu};
 use crate::pipeline::{ChunkPlan, BUFFER_SLOTS};
-use crate::timing::{InterconnectReport, TimingBreakdown};
+use crate::timing::InterconnectReport;
 use gk_gpusim::device::DeviceSpec;
 use gk_gpusim::memory::MemoryStats;
 use gk_gpusim::multi::MultiGpu;
@@ -408,47 +408,26 @@ impl MultiGpuGateKeeper {
     }
 }
 
-/// Convenience container mirroring the per-device timing rows of Tables S.21–S.23.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Number of devices.
-    pub devices: usize,
-    /// Kernel-time throughput in millions of filtrations per second.
-    pub kernel_mps: f64,
-    /// Filter-time throughput in millions of filtrations per second.
-    pub filter_mps: f64,
-}
-
-impl ScalingPoint {
-    /// Builds a scaling point from a run over `pairs` pairs.
-    pub fn from_run(run: &MultiGpuRun, pairs: usize) -> ScalingPoint {
-        ScalingPoint {
-            devices: run.devices,
-            kernel_mps: crate::timing::pairs_per_second(pairs, run.kernel_seconds) / 1e6,
-            filter_mps: crate::timing::pairs_per_second(pairs, run.filter_seconds) / 1e6,
-        }
-    }
-
-    /// Accumulated timing breakdown across devices (for reporting).
-    pub fn timing_of(run: &MultiGpuRun) -> TimingBreakdown {
-        let mut total = TimingBreakdown::default();
-        for device_run in &run.per_device {
-            total.accumulate(&device_run.timing);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EncodingActor;
+    use crate::timing::{pairs_per_second, TimingBreakdown};
     use gk_gpusim::topology::{LinkSpec, TopologyKind};
     use gk_seq::datasets::DatasetProfile;
     use gk_seq::pairs::PairSet;
 
     fn pairs(count: usize) -> PairSet {
         DatasetProfile::set3().generate(count, 321)
+    }
+
+    /// Timing breakdown accumulated across a run's devices.
+    fn summed_timing(run: &MultiGpuRun) -> TimingBreakdown {
+        let mut total = TimingBreakdown::default();
+        for device_run in &run.per_device {
+            total.accumulate(&device_run.timing);
+        }
+        total
     }
 
     fn multi(devices: usize, encoding: EncodingActor) -> MultiGpuGateKeeper {
@@ -499,10 +478,10 @@ mod tests {
         let mut last = 0.0;
         for devices in [1usize, 2, 4] {
             let run = multi(devices, EncodingActor::Host).filter_set(&set.pairs);
-            let point = ScalingPoint::from_run(&run, set.len());
-            assert_eq!(point.devices, devices);
-            assert!(point.kernel_mps > last, "devices = {devices}");
-            last = point.kernel_mps;
+            assert_eq!(run.devices, devices);
+            let kernel_pairs_per_second = pairs_per_second(set.len(), run.kernel_seconds);
+            assert!(kernel_pairs_per_second > last, "devices = {devices}");
+            last = kernel_pairs_per_second;
         }
     }
 
@@ -557,8 +536,8 @@ mod tests {
             assert!(run.timing.encode_device_seconds > 0.0);
             assert!(run.pipeline.device_encode);
         }
-        let host_total = ScalingPoint::timing_of(&host);
-        let device_total = ScalingPoint::timing_of(&device);
+        let host_total = summed_timing(&host);
+        let device_total = summed_timing(&device);
         assert!(host_total.encode_seconds > 0.0);
         assert_eq!(device_total.encode_seconds, 0.0);
         assert!(device_total.encode_device_seconds > 0.0);
@@ -580,7 +559,7 @@ mod tests {
     fn timing_accumulation_covers_all_devices() {
         let set = pairs(1_000);
         let run = multi(2, EncodingActor::Device).filter_set(&set.pairs);
-        let total = ScalingPoint::timing_of(&run);
+        let total = summed_timing(&run);
         assert!(total.kernel_seconds >= run.kernel_seconds);
     }
 

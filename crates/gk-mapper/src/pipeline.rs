@@ -222,7 +222,7 @@ impl ReadMapper {
     /// Maps a *stream* of read batches without materializing the whole read set:
     /// each incoming batch is cut at `max_reads_per_batch`, seeded, filtered and
     /// verified, and only its mapping records are retained — the 30M-pair
-    /// whole-genome entry point matching the GPU path's `filter_stream`.
+    /// whole-genome entry point matching the GPU path's `filter_stream_with`.
     /// Feeding the same reads as one slice to [`ReadMapper::map_reads`] produces
     /// record-identical output (timing fields are wall-clock and may differ).
     pub fn map_read_batches<I>(&self, batches: I, filter: &PreFilter) -> MappingOutcome

@@ -7,7 +7,7 @@
 //! of three triggers fires:
 //!
 //! 1. **size** — pairs pending for one coalescing key (filter kind,
-//!    threshold, read length) reach `max_batch_pairs`;
+//!    threshold) reach `max_batch_pairs`;
 //! 2. **timer** — the oldest queued segment has waited
 //!    `min(flush_interval, its request deadline)`;
 //! 3. **idle** — no batch is executing and the oldest segment has waited at
@@ -222,12 +222,13 @@ pub struct BatcherStats {
     pub flush_drain: u64,
 }
 
-/// Coalescing key: only homogeneous work shares a backend invocation.
+/// Coalescing key: only work with one filter and threshold shares a backend
+/// invocation. Read lengths may mix; [`gk_filters::decide`] breaks its lane
+/// groups at every length change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BatchKey {
     kind: FilterKind,
     threshold: u32,
-    read_len: usize,
 }
 
 /// Shared per-request assembly: segments write their decision slices here;
@@ -400,7 +401,6 @@ impl Batcher {
         let key = BatchKey {
             kind: request.kind,
             threshold: request.threshold,
-            read_len: request.pairs[0].read_len(),
         };
         let assembly = Arc::new(Mutex::new(Assembly {
             decisions: vec![FilterDecision::reject(0); total],
@@ -775,8 +775,7 @@ fn executor_loop(shared: &Shared, rx: &Mutex<mpsc::Receiver<Batch>>) {
             return; // Channel closed: batcher drained and exited.
         };
 
-        let job = FilterJob::new(batch.key.kind, batch.key.threshold, &batch.pairs)
-            .with_read_len(batch.key.read_len);
+        let job = FilterJob::new(batch.key.kind, batch.key.threshold, &batch.pairs);
         let decisions = shared.backend.run(&job);
         assert_eq!(
             decisions.len(),
@@ -892,19 +891,73 @@ mod tests {
         }
     }
 
+    /// A backend that blocks until released, so work queues up behind it.
+    struct Gate(Mutex<()>, Arc<dyn FilterBackend>);
+    impl FilterBackend for Gate {
+        fn name(&self) -> &str {
+            "gate"
+        }
+        fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
+            let _hold = self.0.lock();
+            self.1.run(job)
+        }
+    }
+
     #[test]
-    fn backpressure_rejects_with_retry_hint() {
-        // A backend that blocks until released, so the queue can fill.
-        struct Gate(Mutex<()>, Arc<dyn FilterBackend>);
-        impl FilterBackend for Gate {
-            fn name(&self) -> &str {
-                "gate"
-            }
-            fn run(&self, job: &FilterJob<'_>) -> Vec<FilterDecision> {
-                let _hold = self.0.lock();
-                self.1.run(job)
+    fn read_lengths_coalesce_into_one_batch() {
+        let inner = backend();
+        let gate = Arc::new(Gate(Mutex::new(()), inner.clone()));
+        let batcher = Batcher::start(BatcherConfig::default(), gate.clone());
+
+        // A first batch holds the executor at the gate.
+        let hold = gate.0.lock().expect("gate");
+        let (tx0, rx0) = mpsc::channel();
+        batcher
+            .submit(0, request(0, pairs(8, 0)), responder(tx0))
+            .expect("admitted");
+        let start = Instant::now();
+        while batcher.stats().batches < 1 {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "first batch never left"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // 100 bp and 150 bp requests at one threshold queue behind it.
+        let short = pairs(64, 1);
+        let long = DatasetProfile::set5().generate(64, 2).pairs;
+        assert_ne!(short[0].read_len(), long[0].read_len());
+        let mut receivers = Vec::new();
+        for (ticket, input) in [(1, &short), (2, &long)] {
+            let (tx, rx) = mpsc::channel();
+            batcher
+                .submit(ticket, request(0, input.clone()), responder(tx))
+                .expect("admitted");
+            receivers.push(rx);
+        }
+        drop(hold);
+
+        assert!(matches!(
+            rx0.recv_timeout(Duration::from_secs(5)).expect("outcome"),
+            Outcome::Done(_)
+        ));
+        for (rx, input) in receivers.into_iter().zip([&short, &long]) {
+            let direct = inner.run(&FilterJob::new(FilterKind::GateKeeper, 2, input));
+            match rx.recv_timeout(Duration::from_secs(5)).expect("outcome") {
+                Outcome::Done(decisions) => {
+                    assert_eq!(decision_digest(&decisions), decision_digest(&direct));
+                }
+                other => panic!("unexpected outcome {other:?}"),
             }
         }
+        let stats = batcher.stats();
+        assert_eq!(stats.batches, 2, "both lengths share one batch: {stats:?}");
+        assert_eq!(stats.batched_segments, 3);
+    }
+
+    #[test]
+    fn backpressure_rejects_with_retry_hint() {
         let inner = backend();
         let gate = Arc::new(Gate(Mutex::new(()), inner));
         let config = BatcherConfig::default()

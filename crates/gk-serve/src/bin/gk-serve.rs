@@ -1,19 +1,18 @@
 //! The `gk-serve` daemon: filter-as-a-service over localhost TCP.
 //!
 //! ```text
-//! gk-serve [--addr 127.0.0.1:7844] [--backend cpu-simd|gpu-sim|multi-gpu]
-//!          [--threads N] [--devices N] [--topology private|shared|switch:N|nvlink]
-//!          [--flush-ms MS] [--idle-us US] [--max-batch-pairs N]
+//! gk-serve [--addr 127.0.0.1:7844] [--threads N] [--flush-ms MS]
+//!          [--idle-us US] [--max-batch-pairs N]
 //!          [--queue-pairs N] [--executors N] [--weight TENANT=W]...
 //!          [--no-coalesce]
 //! ```
 //!
+//! Every batch runs on the `cpu-simd` backend over a `--threads`-wide pool
+//! (0, the default, sizes it from `RAYON_NUM_THREADS` or the core count).
 //! Clients speak the `gk_seq::frame` protocol (see `gk_serve::client::GkClient`
 //! or `serve_bench --connect ADDR` in gk-bench).
 
-use gk_core::backend::{BackendRegistry, CpuSimdBackend, GpuSimBackend, MultiGpuBackend};
-use gk_gpusim::device::DeviceSpec;
-use gk_gpusim::topology::TopologyKind;
+use gk_core::backend::CpuSimdBackend;
 use gk_serve::batcher::BatcherConfig;
 use gk_serve::server::GkServer;
 use std::sync::Arc;
@@ -21,8 +20,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gk-serve [--addr HOST:PORT] [--backend cpu-simd|gpu-sim|multi-gpu] \
-         [--threads N] [--devices N] [--topology KIND] [--flush-ms MS] [--idle-us US] \
+        "usage: gk-serve [--addr HOST:PORT] [--threads N] [--flush-ms MS] [--idle-us US] \
          [--max-batch-pairs N] [--queue-pairs N] [--executors N] [--weight TENANT=W]... \
          [--no-coalesce]"
     );
@@ -45,20 +43,14 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 
 fn main() {
     let mut addr = "127.0.0.1:7844".to_string();
-    let mut backend_name = "gpu-sim".to_string();
     let mut threads = 0usize; // 0 = pool default (RAYON_NUM_THREADS / cores)
-    let mut devices = 4usize;
-    let mut topology = TopologyKind::SharedRoot;
     let mut config = BatcherConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = parse("--addr", args.next()),
-            "--backend" => backend_name = parse("--backend", args.next()),
             "--threads" => threads = parse("--threads", args.next()),
-            "--devices" => devices = parse("--devices", args.next()),
-            "--topology" => topology = parse("--topology", args.next()),
             "--flush-ms" => {
                 let ms: u64 = parse("--flush-ms", args.next());
                 config = config.with_flush_interval(Duration::from_millis(ms));
@@ -95,25 +87,10 @@ fn main() {
         }
     }
 
-    let mut registry = BackendRegistry::new();
-    registry.register(Arc::new(CpuSimdBackend::new(threads)));
-    registry.register(Arc::new(GpuSimBackend::new()));
-    registry.register(Arc::new(MultiGpuBackend::with_device(
-        DeviceSpec::gtx_1080_ti(),
-        devices,
-        topology,
-    )));
-    let Some(backend) = registry.get(&backend_name) else {
-        eprintln!(
-            "gk-serve: unknown backend {backend_name:?} (available: {:?})",
-            registry.names()
-        );
-        std::process::exit(2);
-    };
-
     let coalesce = if config.coalesce { "on" } else { "off" };
     let flush_ms = config.flush_interval.as_secs_f64() * 1e3;
     let max_batch = config.max_batch_pairs;
+    let backend = Arc::new(CpuSimdBackend::new(threads));
     let server = match GkServer::start(&addr, backend, config) {
         Ok(server) => server,
         Err(err) => {
@@ -122,7 +99,7 @@ fn main() {
         }
     };
     println!(
-        "gk-serve listening on {} (backend {backend_name}, coalesce {coalesce}, \
+        "gk-serve listening on {} (backend cpu-simd, coalesce {coalesce}, \
          flush {flush_ms:.1} ms, max batch {max_batch} pairs)",
         server.local_addr()
     );

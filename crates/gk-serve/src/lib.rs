@@ -16,9 +16,10 @@
 //!   blocking and non-blocking submission, cancellation and decoded
 //!   [`client::Reply`] results.
 //!
-//! Execution goes through the [`gk_core::backend::FilterBackend`] registry
-//! (`cpu-simd`, `gpu-sim`, `multi-gpu`), so service decisions are
-//! digest-identical to the offline harness paths — that equivalence is a
+//! Execution goes through a [`gk_core::backend::FilterBackend`]; the daemon
+//! serves with [`gk_core::backend::CpuSimdBackend`], which decides through the
+//! same `gk_filters::decide` dispatch as the offline and simulated-GPU paths,
+//! so service decisions are digest-identical to them — that equivalence is a
 //! tested invariant (`tests/service_equivalence.rs`), not an aspiration.
 //!
 //! # Quickstart

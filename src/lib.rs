@@ -18,8 +18,8 @@
 //! * [`mapper`] — an mrFAST-like seed-and-extend read mapper with a pre-alignment
 //!   filter hook, used for the whole-genome experiments.
 //! * [`serve`] — filter-as-a-service: a dynamic-batching daemon + client speaking
-//!   length-prefixed binary frames, executing through the [`core::FilterBackend`]
-//!   registry.
+//!   length-prefixed binary frames, executing through a [`core::FilterBackend`]
+//!   (the daemon serves with [`core::CpuSimdBackend`]).
 //!
 //! ## Quick start
 //!

@@ -14,11 +14,9 @@
 //!     workload;
 //!   * concurrent multi-tenant submission with unequal weights, where
 //!     coalescing across tenants is guaranteed by a paused executor;
-//!   * GateKeeper through the service vs `GateKeeperGpu::filter_stream`.
+//!   * GateKeeper through the service vs `GateKeeperGpu::filter_stream_with`.
 
-use gatekeeper_gpu::core::backend::{
-    CpuSimdBackend, FilterBackend, FilterJob, FilterKind, GpuSimBackend,
-};
+use gatekeeper_gpu::core::backend::{CpuSimdBackend, FilterBackend, FilterJob, FilterKind};
 use gatekeeper_gpu::core::{FilterConfig, GateKeeperGpu};
 use gatekeeper_gpu::filters::traits::decision_digest;
 use gatekeeper_gpu::seq::datasets::DatasetProfile;
@@ -68,13 +66,13 @@ fn every_filter_kind_matches_direct_backend_through_the_socket() {
 fn coalesced_and_solo_servers_agree_request_by_request() {
     let coalesced = GkServer::start(
         "127.0.0.1:0",
-        Arc::new(GpuSimBackend::new()),
+        Arc::new(CpuSimdBackend::new(1)),
         BatcherConfig::default().with_coalesce(true),
     )
     .expect("bind");
     let solo = GkServer::start(
         "127.0.0.1:0",
-        Arc::new(GpuSimBackend::new()),
+        Arc::new(CpuSimdBackend::new(1)),
         BatcherConfig::default().with_coalesce(false),
     )
     .expect("bind");
@@ -159,7 +157,7 @@ fn concurrent_multi_tenant_submission_keeps_every_answer_intact() {
 fn service_gatekeeper_matches_the_streaming_pipeline() {
     let server = GkServer::start(
         "127.0.0.1:0",
-        Arc::new(GpuSimBackend::new()),
+        Arc::new(CpuSimdBackend::new(1)),
         BatcherConfig::default(),
     )
     .expect("bind");
